@@ -48,8 +48,7 @@ def qybe_report(h, tol: Tolerance = DEFAULT_TOL, name: str = "qybe_braid") -> Ve
     h = as_matrix(h)
     residual = qybe_residual(h)
     threshold = tol.abs_tol * max(1.0, frobenius_norm(h) ** 3)
-    return VerificationReport(name=name, residuals={"braid": residual},
-                              tol=threshold, passed=residual < threshold)
+    return VerificationReport.from_residuals(name, {"braid": residual}, threshold)
 
 
 def spectral_qybe_residual(h, x: float, y: float, shift: float = 16.0) -> float:
@@ -111,9 +110,7 @@ def tl_check(e: TLElement, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
     }
     scale = max(1.0, frobenius_norm(m) ** 3)
     threshold = tol.abs_tol * scale
-    passed = all(r < threshold for r in residuals.values())
-    return VerificationReport(name="tl_relations", residuals=residuals,
-                              tol=threshold, passed=passed)
+    return VerificationReport.from_residuals("tl_relations", residuals, threshold)
 
 
 def tl_from_an(n: int) -> TLElement:

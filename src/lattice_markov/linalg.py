@@ -13,8 +13,6 @@ import numpy as np
 
 from .reporting import DEFAULT_TOL, Tolerance
 
-MAX_JACOBI_SWEEPS = 100
-
 
 def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
@@ -86,58 +84,19 @@ def is_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     return symmetry_defect(a) <= bound
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero a[p,q] with a Givens rotation, updating a (symmetric) and v in place."""
-    apq = a[p, q]
-    if apq == 0.0:
-        return
-    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    s = t * c
-    rot_p = c * a[:, p] - s * a[:, q]
-    rot_q = s * a[:, p] + c * a[:, q]
-    a[:, p], a[:, q] = rot_p, rot_q
-    rot_p = c * a[p, :] - s * a[q, :]
-    rot_q = s * a[p, :] + c * a[q, :]
-    a[p, :], a[q, :] = rot_p, rot_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    vec_p = c * v[:, p] - s * v[:, q]
-    vec_q = s * v[:, p] + c * v[:, q]
-    v[:, p], v[:, q] = vec_p, vec_q
-
-
 def symmetric_eigensystem(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigensystem of a symmetric matrix by cyclic Jacobi rotations.
+    """Full eigensystem of a symmetric matrix by LAPACK (`np.linalg.eigh`).
 
-    Returns (w, V) with eigenvalues w ascending and A V = V diag(w) up to
-    the convergence threshold. Sweeps stop once the off-diagonal Frobenius
-    mass drops below 1e-12 times the Frobenius norm of the input (or the
-    absolute tolerance for near-zero matrices), capped at 100 sweeps.
+    Returns (w, V) with eigenvalues w ascending and A V = V diag(w). The
+    input must be symmetric within tolerance; it is symmetrised before the
+    solve so that roundoff asymmetry cannot leak into the result. A solver
+    that fails to converge raises np.linalg.LinAlgError, a ValueError.
     """
     a = as_matrix(a)
     if not is_symmetric(a, tol):
         raise ValueError(f"matrix is not symmetric within tolerance "
                          f"(defect {symmetry_defect(a):.3e})")
-    n = a.shape[0]
-    work = 0.5 * (a + a.T)
-    v = np.eye(n)
-    scale = float(np.linalg.norm(work))
-    threshold = max(1e-12 * scale, tol.abs_tol * 1e-2, 1e-300)
-    for _ in range(MAX_JACOBI_SWEEPS):
-        off = math.sqrt(max(0.0, float(np.sum(work * work)) - float(np.sum(np.diag(work) ** 2))))
-        if off <= threshold:
-            break
-        # rotations below this size cannot reduce the off-diagonal mass meaningfully
-        skip = off / max(1, n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(work[p, q]) > skip * 1e-6:
-                    _jacobi_rotate(work, v, p, q)
-    w = np.diag(work).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.linalg.eigh(0.5 * (a + a.T))
 
 
 def symmetric_eigenvalues(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

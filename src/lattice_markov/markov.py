@@ -208,13 +208,11 @@ def absorbing_states(chain: MarkovChain, tol: Tolerance = DEFAULT_TOL) -> list[i
     if chain.kind != "transition":
         raise ValueError("absorbing-state detection expects a transition matrix")
     m = chain.matrix
-    out = []
-    for idx in range(m.shape[0]):
-        row = np.abs(np.delete(m[idx, :], idx)).max() if m.shape[0] > 1 else 0.0
-        col = np.abs(np.delete(m[:, idx], idx)).max() if m.shape[0] > 1 else 0.0
-        if abs(m[idx, idx] - 1.0) <= tol.abs_tol and max(row, col) <= tol.abs_tol:
-            out.append(idx + 1)
-    return out
+    off = np.abs(m)
+    np.fill_diagonal(off, 0.0)
+    coupling = np.maximum(off.max(axis=1, initial=0.0), off.max(axis=0, initial=0.0))
+    unit = np.abs(np.diag(m) - 1.0) <= tol.abs_tol
+    return (np.flatnonzero(unit & (coupling <= tol.abs_tol)) + 1).tolist()
 
 
 def absorbing_states_formula(spec: ChainSpec) -> list[int]:
@@ -291,13 +289,10 @@ def closed_sets(chain: MarkovChain, threshold: float = EDGE_THRESHOLD) -> ChainA
     exists (the chain is reducible) whenever there is more than one
     component.
     """
-    m = chain.matrix
-    n = m.shape[0]
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for j in range(n):
-        for i in range(n):
-            if i != j and m[i, j] > threshold:
-                adjacency[j].append(i)
+    edges = chain.matrix > threshold
+    np.fill_diagonal(edges, False)
+    n = edges.shape[0]
+    adjacency = [np.flatnonzero(edges[:, j]).tolist() for j in range(n)]
     comps = _strongly_connected_components(adjacency)
     comp_of = [0] * n
     for cid, comp in enumerate(comps):
@@ -317,34 +312,17 @@ def closed_sets(chain: MarkovChain, threshold: float = EDGE_THRESHOLD) -> ChainA
 
 
 def _null_space_1d(a: np.ndarray, tol: float) -> np.ndarray:
-    """One-dimensional null space of a small square matrix by Gaussian elimination."""
-    m = a.shape[0]
-    work = a.astype(float).copy()
-    piv_cols: list[int] = []
-    row = 0
-    scale = max(1.0, float(np.abs(work).max()))
-    for col in range(m):
-        if row == m:
-            break
-        pivot = row + int(np.argmax(np.abs(work[row:, col])))
-        if abs(work[pivot, col]) <= tol * scale:
-            continue
-        work[[row, pivot]] = work[[pivot, row]]
-        work[row] = work[row] / work[row, col]
-        for r in range(m):
-            if r != row and work[r, col] != 0.0:
-                work[r] -= work[r, col] * work[row]
-        piv_cols.append(col)
-        row += 1
-    free = [c for c in range(m) if c not in piv_cols]
-    if len(free) != 1:
-        raise ValueError(f"null space dimension {len(free)} != 1; "
+    """One-dimensional null space of a small square matrix by SVD.
+
+    Singular values at or below tol * max(1, max|a|) count as zero; the
+    right singular vector of the smallest one spans the null space.
+    """
+    _, s, vt = np.linalg.svd(a)
+    nullity = int(np.count_nonzero(s <= tol * max(1.0, float(np.abs(a).max()))))
+    if nullity != 1:
+        raise ValueError(f"null space dimension {nullity} != 1; "
                          "stationary distribution is not unique on this set")
-    vec = np.zeros(m)
-    vec[free[0]] = 1.0
-    for r, col in enumerate(piv_cols):
-        vec[col] = -work[r, free[0]]
-    return vec
+    return vt[-1]
 
 
 def stationary_distribution(chain: MarkovChain, closed_set,

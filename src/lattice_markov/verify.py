@@ -19,12 +19,6 @@ H0_GRID = (-1.0, 0.0, 1.0, 2.0)
 SPECTRAL_GRID = (-1.0, 0.5, 1.0, 2.0, 3.0)
 
 
-def _report(name: str, residuals: dict[str, float], tol: float, **info) -> VerificationReport:
-    passed = all(abs(v) < tol for v in residuals.values())
-    return VerificationReport(name=name, residuals=residuals, tol=tol,
-                              passed=passed, info=info)
-
-
 def verify_an(n: int, L: int, tol: Tolerance = DEFAULT_TOL) -> list[VerificationReport]:
     """Full certification of the rank-n chain stack at L sites."""
     checks: list[VerificationReport] = []
@@ -32,11 +26,12 @@ def verify_an(n: int, L: int, tol: Tolerance = DEFAULT_TOL) -> list[Verification
     d = n + 1
 
     diff = frobenius_norm(an_algebra.delta_casimir_sum(n) - an_algebra.delta_casimir_indexed(n))
-    checks.append(_report("casimir_route_agreement", {"entrywise": diff}, tol.abs_tol))
+    checks.append(VerificationReport.from_residuals(
+        "casimir_route_agreement", {"entrywise": diff}, tol.abs_tol))
 
-    checks.append(_report("index_partition",
-                          {"violations": 0.0 if an_algebra.index_partition_check(n) else 1.0},
-                          0.5))
+    checks.append(VerificationReport.from_residuals(
+        "index_partition", {"violations": 0.0 if an_algebra.index_partition_check(n) else 1.0},
+        0.5))
 
     worst = 0.0
     a_matrix = rep.cartan_matrix
@@ -52,7 +47,8 @@ def verify_an(n: int, L: int, tol: Tolerance = DEFAULT_TOL) -> list[Verification
             worst = max(worst, frobenius_norm(commutator(e_i, f_j) - delta * rep.cartan[i]))
             worst = max(worst, frobenius_norm(commutator(rep.cartan[i], e_j) - a_matrix[i, j] * e_j))
             worst = max(worst, frobenius_norm(commutator(rep.cartan[i], f_j) + a_matrix[i, j] * f_j))
-    checks.append(_report("chevalley_relations", {"worst": worst}, tol.abs_tol))
+    checks.append(VerificationReport.from_residuals(
+        "chevalley_relations", {"worst": worst}, tol.abs_tol))
 
     dc = an_algebra.delta_casimir(n)
     worst = 0.0
@@ -66,14 +62,18 @@ def verify_an(n: int, L: int, tol: Tolerance = DEFAULT_TOL) -> list[Verification
             hom = max(hom, frobenius_norm(commutator(de, df) - dh))
     for h in rep.cartan:
         worst = max(worst, frobenius_norm(commutator(dc, an_algebra.coproduct(h))))
-    checks.append(_report("coproduct_homomorphism", {"worst": hom}, tol.abs_tol))
-    checks.append(_report("casimir_invariance", {"worst": worst}, tol.abs_tol))
+    checks.append(VerificationReport.from_residuals(
+        "coproduct_homomorphism", {"worst": hom}, tol.abs_tol))
+    checks.append(VerificationReport.from_residuals(
+        "casimir_invariance", {"worst": worst}, tol.abs_tol))
 
-    checks.append(_report("casimir_quadratic",
-                          {"residual": an_algebra.casimir_quadratic_residual(n)}, tol.abs_tol))
+    checks.append(VerificationReport.from_residuals(
+        "casimir_quadratic", {"residual": an_algebra.casimir_quadratic_residual(n)},
+        tol.abs_tol))
 
     cubic1, cubic2 = an_algebra.casimir_cubic_residuals(n)
-    checks.append(_report("casimir_cubic", {"first": cubic1, "second": cubic2}, tol.abs_tol))
+    checks.append(VerificationReport.from_residuals(
+        "casimir_cubic", {"first": cubic1, "second": cubic2}, tol.abs_tol))
 
     h2 = lattice_an.two_site_h(n)
     checks.append(braid_tl.qybe_report(h2, tol, name="qybe_braid"))
@@ -85,13 +85,13 @@ def verify_an(n: int, L: int, tol: Tolerance = DEFAULT_TOL) -> list[Verification
 
     spec = lattice_an.ChainSpec(n, L)
     ham = lattice_an.hamiltonian(spec)
-    checks.append(_report("chain_symmetry",
-                          {"worst_commutator": lattice_an.symmetry_residual(ham)},
-                          tol.abs_tol))
+    checks.append(VerificationReport.from_residuals(
+        "chain_symmetry", {"worst_commutator": lattice_an.symmetry_residual(ham)},
+        tol.abs_tol))
     target = (L - 1) * (n + 1)
     sums = {"row": float(np.max(np.abs(ham.matrix.sum(axis=1) - target))),
             "column": float(np.max(np.abs(ham.matrix.sum(axis=0) - target)))}
-    checks.append(_report("chain_sum_rule", sums, tol.abs_tol))
+    checks.append(VerificationReport.from_residuals("chain_sum_rule", sums, tol.abs_tol))
 
     p_chain = markov.build_an_markov(spec, "transition")
     q_chain = markov.build_an_markov(spec, "intensity")
@@ -100,18 +100,18 @@ def verify_an(n: int, L: int, tol: Tolerance = DEFAULT_TOL) -> list[Verification
 
     detected = markov.absorbing_states(p_chain, tol)
     formula = markov.absorbing_states_formula(spec)
-    checks.append(_report("absorbing_formula",
-                          {"mismatch": 0.0 if detected == formula else 1.0}, 0.5,
-                          detected=detected, formula=formula))
+    checks.append(VerificationReport.from_residuals(
+        "absorbing_formula", {"mismatch": 0.0 if detected == formula else 1.0}, 0.5,
+        detected=detected, formula=formula))
 
-    checks.append(_report("spectrum_affine_transition",
-                          {"max_dev": markov.spectrum_coincidence(
-                              ham.matrix, p_chain, 1.0 / target, 0.0, tol)},
-                          tol.abs_tol * 100))
-    checks.append(_report("spectrum_affine_intensity",
-                          {"max_dev": markov.spectrum_coincidence(
-                              ham.matrix, q_chain, 1.0, -float(target), tol)},
-                          tol.abs_tol * 100))
+    checks.append(VerificationReport.from_residuals(
+        "spectrum_affine_transition",
+        {"max_dev": markov.spectrum_coincidence(ham.matrix, p_chain, 1.0 / target, 0.0, tol)},
+        tol.abs_tol * 100))
+    checks.append(VerificationReport.from_residuals(
+        "spectrum_affine_intensity",
+        {"max_dev": markov.spectrum_coincidence(ham.matrix, q_chain, 1.0, -float(target), tol)},
+        tol.abs_tol * 100))
 
     analysis = markov.closed_sets(q_chain)
     worst = 0.0
@@ -120,9 +120,9 @@ def verify_an(n: int, L: int, tol: Tolerance = DEFAULT_TOL) -> list[Verification
         uniform = 1.0 / len(closed)
         worst = max(worst, max(abs(pi[s - 1] - uniform) for s in closed))
         worst = max(worst, float(np.max(np.abs(q_chain.matrix @ pi))))
-    checks.append(_report("stationary_uniform", {"worst": worst}, tol.abs_tol,
-                          reducible=analysis.reducible,
-                          closed_set_count=len(analysis.closed_sets)))
+    checks.append(VerificationReport.from_residuals(
+        "stationary_uniform", {"worst": worst}, tol.abs_tol, reducible=analysis.reducible,
+        closed_set_count=len(analysis.closed_sets)))
 
     checks.sort(key=lambda r: r.name)
     return checks
@@ -139,36 +139,39 @@ def verify_ladder(a: float, b: float, c: float, L: int = 2,
         su2_ladder.su2_invariance_residual(su2_ladder.h_ladder()),
         su2_ladder.su2_invariance_residual(su2_ladder.h_prime(a, b, c)),
     )
-    checks.append(_report("su2_invariance", {"worst_commutator": invariance},
-                          tol.abs_tol * 1e3))
+    checks.append(VerificationReport.from_residuals(
+        "su2_invariance", {"worst_commutator": invariance}, tol.abs_tol * 1e3))
 
     bb = kron(su2_ladder.basis_change(), su2_ladder.basis_change())
     bb_inv = np.linalg.inv(bb)
     conj = max(
         frobenius_norm(commutator(su2_ladder.h_doubleprime(a, b, c), bb @ g @ bb_inv))
         for g in su2_ladder.total_spin_generators(4))
-    checks.append(_report("su2_invariance_transformed", {"worst_commutator": conj},
-                          tol.abs_tol * 1e3))
+    checks.append(VerificationReport.from_residuals(
+        "su2_invariance_transformed", {"worst_commutator": conj}, tol.abs_tol * 1e3))
 
     worst = max(braid_tl.qybe_residual(su2_ladder.h0(dd, f))
                 for dd in H0_GRID for f in H0_GRID)
-    checks.append(_report("h0_braid_grid", {"worst": worst}, 1e-8))
+    checks.append(VerificationReport.from_residuals("h0_braid_grid", {"worst": worst}, 1e-8))
 
     hl = su2_ladder.h_ladder()
-    checks.append(_report("ladder_braid", {"residual": braid_tl.qybe_residual(hl)}, 1e-8))
+    checks.append(VerificationReport.from_residuals(
+        "ladder_braid", {"residual": braid_tl.qybe_residual(hl)}, 1e-8))
 
     worst = max(braid_tl.spectral_qybe_residual(hl, x, y)
                 for x in SPECTRAL_GRID for y in SPECTRAL_GRID)
-    checks.append(_report("spectral_braid_grid", {"worst": worst}, 1e-8))
+    checks.append(VerificationReport.from_residuals(
+        "spectral_braid_grid", {"worst": worst}, 1e-8))
 
     checks.append(braid_tl.tl_check(su2_ladder.tl_from_ladder(), tol))
 
-    checks.append(_report("similarity",
-                          {"residual": su2_ladder.similarity_residual(a, b, c)}, 1e-8))
+    checks.append(VerificationReport.from_residuals(
+        "similarity", {"residual": su2_ladder.similarity_residual(a, b, c)}, 1e-8))
 
     hdp = su2_ladder.h_doubleprime(a, b, c)
     col_dev = float(np.max(np.abs(hdp.sum(axis=0) - su2_ladder.column_sum_value(a, b, c))))
-    checks.append(_report("column_sums", {"deviation": col_dev}, tol.abs_tol))
+    checks.append(VerificationReport.from_residuals(
+        "column_sums", {"deviation": col_dev}, tol.abs_tol))
 
     positivity = su2_ladder.positivity_check(a, b, c, tol)
     checks.append(positivity)
@@ -178,8 +181,8 @@ def verify_ladder(a: float, b: float, c: float, L: int = 2,
         p_chain = markov.build_ladder_markov(params, L, "transition")
         checks.append(markov.validate(p_chain, tol))
         detected = markov.absorbing_states(p_chain, tol)
-        checks.append(_report("ladder_no_absorbing",
-                              {"count": float(len(detected))}, 0.5, detected=detected))
+        checks.append(VerificationReport.from_residuals(
+            "ladder_no_absorbing", {"count": float(len(detected))}, 0.5, detected=detected))
         q_chain = markov.build_ladder_markov(params, L, "intensity")
         checks.append(markov.validate(q_chain, tol))
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,21 @@ def test_chain_spectrum_against_lapack_oracle():
     assert np.allclose(w, w_ref, atol=1e-10)
     assert np.sum(np.abs(w - 4.0) < 1e-9) >= 4  # symmetric states
     assert w.sum() == pytest.approx(np.trace(h.matrix), abs=1e-9)
+
+
+@pytest.mark.parametrize("n,L", [(1, 4), (1, 6), (1, 8), (2, 4), (2, 5), (3, 4)])
+def test_spectrum_against_interchange_process_oracle(n, L):
+    """Analytic oracle independent of LAPACK: the top eigenvalue (L-1)(n+1)
+    lives on the C(L+n, n) fully symmetric states, and the gap below it is
+    the interchange-process spectral gap 2(n+1)(1 - cos(pi/L)) (Caputo,
+    Liggett & Richthammer, J. AMS 23 (2010) 831-851)."""
+    w = lat.chain_spectrum(lat.hamiltonian(lat.ChainSpec(n, L)))
+    top = (L - 1) * (n + 1)
+    atol = 1e-9 * top
+    at_top = np.abs(w - top) <= atol
+    assert np.count_nonzero(at_top) == math.comb(L + n, n)
+    gap = 2 * (n + 1) * (1 - math.cos(math.pi / L))
+    assert top - w[~at_top].max() == pytest.approx(gap, abs=atol)
 
 
 def test_spectrum_trace_two_sites():

@@ -96,6 +96,10 @@ def test_absorbing_states_examples():
     assert mk.absorbing_states(chain) == [1, 8]
     chain = mk.build_an_markov(ChainSpec(2, 2), "transition")
     assert mk.absorbing_states(chain) == [1, 5, 9]
+    # state 1 keeps its mass but receives flow from state 2, so only 3 is absorbing
+    chain = mk.MarkovChain(kind="transition", spec=None,
+                           matrix=[[1, .5, 0], [0, .5, 0], [0, 0, 1]])
+    assert mk.absorbing_states(chain) == [3]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -222,6 +226,10 @@ def test_stationary_rejects_degenerate_null_space():
     q = mk.MarkovChain(kind="intensity", spec=None, matrix=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         mk.stationary_distribution(q, [1, 2])
+    # union of the closed sets {1} and {2, 3, 5}: a non-zero block with nullity 2
+    q = mk.build_an_markov(ChainSpec(1, 3), "intensity")
+    with pytest.raises(ValueError, match="null space dimension 2"):
+        mk.stationary_distribution(q, [1, 2, 3, 5])
 
 
 def test_every_closed_set_of_intensity_chain_is_uniform():
