@@ -14,11 +14,10 @@ import numpy as np
 
 from .an_algebra import delta_casimir, fundamental_rep
 from .braid_tl import tl_from_an
-from .linalg import (as_matrix, commutator, embed_one_site, embed_two_site,
-                     frobenius_norm, symmetric_eigenvalues)
+from .linalg import DENSE_SIZE_GUARD  # noqa: F401  re-exported
+from .linalg import (as_matrix, check_dense_size, commutator, embed_one_site,
+                     embedded_sum, frobenius_norm, symmetric_eigenvalues)
 from .reporting import DEFAULT_TOL, Tolerance
-
-DENSE_SIZE_GUARD = 4096
 
 
 @dataclass(frozen=True)
@@ -43,8 +42,7 @@ class ChainSpec:
         return self.local_dim ** self.L
 
     def guard_dense(self) -> None:
-        if self.dim > DENSE_SIZE_GUARD:
-            raise ValueError(f"state space {self.dim} exceeds dense guard {DENSE_SIZE_GUARD}")
+        check_dense_size(self.dim)
 
 
 @dataclass
@@ -63,11 +61,7 @@ def two_site_h(n: int) -> np.ndarray:
 
 
 def hamiltonian(spec: ChainSpec) -> LatticeHamiltonian:
-    spec.guard_dense()
-    h2 = two_site_h(spec.n)
-    total = np.zeros((spec.dim, spec.dim))
-    for i in range(1, spec.L):
-        total += embed_two_site(h2, i, spec.L, spec.local_dim)
+    total = embedded_sum(two_site_h(spec.n), spec.L, spec.local_dim)
     return LatticeHamiltonian(spec=spec, matrix=total)
 
 
@@ -109,12 +103,8 @@ def tl_decomposition_residuals(n: int, L: int) -> tuple[float, float]:
     that holds, since E = 1 - H2/(n+1) gives H2 = (n+1)(1 - E).
     """
     spec = ChainSpec(n, L)
-    spec.guard_dense()
     h = hamiltonian(spec).matrix
-    e = tl_from_an(n).matrix
-    e_sum = np.zeros_like(h)
-    for i in range(1, L):
-        e_sum += embed_two_site(e, i, L, spec.local_dim)
+    e_sum = embedded_sum(tl_from_an(n).matrix, L, spec.local_dim)
     ident = np.eye(spec.dim)
     plus = (n + 1) * e_sum + (n + 1) * (L - 1) * ident
     minus = (n + 1) * (L - 1) * ident - (n + 1) * e_sum

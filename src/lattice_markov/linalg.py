@@ -35,6 +35,23 @@ def kron_all(ops) -> np.ndarray:
     return out
 
 
+DENSE_SIZE_GUARD = 4096  # largest state space built as a dense matrix
+
+
+def check_dense_size(dim: int) -> None:
+    if dim > DENSE_SIZE_GUARD:
+        raise ValueError(f"state space {dim} exceeds dense guard {DENSE_SIZE_GUARD}")
+
+
+def _two_site_operator(op, i: int, L: int, d: int) -> np.ndarray:
+    op = as_matrix(op)
+    if op.shape != (d * d, d * d):
+        raise ValueError(f"two-site operator must be {d * d}x{d * d}, got {op.shape}")
+    if not 1 <= i <= L - 1:
+        raise ValueError(f"site index i={i} out of range 1..{L - 1}")
+    return op
+
+
 def embed_two_site(op, i: int, L: int, d: int) -> np.ndarray:
     """Pad a two-site operator to sites (i, i+1) of an L-site chain.
 
@@ -42,14 +59,36 @@ def embed_two_site(op, i: int, L: int, d: int) -> np.ndarray:
     1^(i-1) (x) op (x) 1^(L-i-1) on the d^L-dimensional space. Site
     indices are 1-based, i in 1..L-1.
     """
-    op = as_matrix(op)
-    if op.shape != (d * d, d * d):
-        raise ValueError(f"two-site operator must be {d * d}x{d * d}, got {op.shape}")
-    if not 1 <= i <= L - 1:
-        raise ValueError(f"site index i={i} out of range 1..{L - 1}")
+    op = _two_site_operator(op, i, L, d)
     left = np.eye(d ** (i - 1))
     right = np.eye(d ** (L - i - 1))
     return np.kron(np.kron(left, op), right)
+
+
+def add_embedded(total: np.ndarray, op, i: int, L: int, d: int) -> np.ndarray:
+    """Add embed_two_site(op, i, L, d) into total in place and return total.
+
+    The embedded operator is op on the block diagonal of total viewed as
+    (a, d^2, b, a, d^2, b) with a = d^(i-1), b = d^(L-i-1), so op is added
+    to that strided view and no d^L x d^L temporary is built. Every other
+    entry of the kron route is an exact zero, so the result is equal.
+    """
+    op = _two_site_operator(op, i, L, d)
+    if total.shape != (d ** L, d ** L) or not total.flags.c_contiguous:
+        raise ValueError(f"total must be a C-contiguous {d ** L}x{d ** L} matrix")
+    a, b = d ** (i - 1), d ** (L - i - 1)
+    blocks = np.einsum("xpyxqy->xypq", total.reshape(a, d * d, b, a, d * d, b))
+    blocks += op
+    return total
+
+
+def embedded_sum(op, L: int, d: int) -> np.ndarray:
+    """Open-chain sum of op embedded on every bond (i, i+1), i = 1..L-1."""
+    check_dense_size(d ** L)
+    total = np.zeros((d ** L, d ** L))
+    for i in range(1, L):
+        add_embedded(total, op, i, L, d)
+    return total
 
 
 def embed_one_site(op, i: int, L: int, d: int) -> np.ndarray:
@@ -84,25 +123,30 @@ def is_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     return symmetry_defect(a) <= bound
 
 
-def symmetric_eigensystem(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigensystem of a symmetric matrix by LAPACK (`np.linalg.eigh`).
-
-    Returns (w, V) with eigenvalues w ascending and A V = V diag(w). The
-    input must be symmetric within tolerance; it is symmetrised before the
-    solve so that roundoff asymmetry cannot leak into the result. A solver
-    that fails to converge raises np.linalg.LinAlgError, a ValueError.
-    """
+def _symmetrised(a, tol: Tolerance) -> np.ndarray:
+    """0.5 (A + A^T), so that roundoff asymmetry cannot leak into an eigen solve."""
     a = as_matrix(a)
     if not is_symmetric(a, tol):
         raise ValueError(f"matrix is not symmetric within tolerance "
                          f"(defect {symmetry_defect(a):.3e})")
-    return np.linalg.eigh(0.5 * (a + a.T))
+    return 0.5 * (a + a.T)
+
+
+def symmetric_eigensystem(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigensystem of a symmetric matrix by LAPACK (`np.linalg.eigh`).
+
+    Returns (w, V) with eigenvalues w ascending and A V = V diag(w). The
+    input must be symmetric within tolerance and is symmetrised before the
+    solve. A solver that fails to converge raises np.linalg.LinAlgError,
+    a ValueError.
+    """
+    return np.linalg.eigh(_symmetrised(a, tol))
 
 
 def symmetric_eigenvalues(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Ascending eigenvalues (with multiplicity) of a symmetric matrix."""
-    w, _ = symmetric_eigensystem(a, tol)
-    return w
+    """Ascending eigenvalues (with multiplicity) of a symmetric matrix, by
+    `np.linalg.eigvalsh`: no eigenvectors are computed."""
+    return np.linalg.eigvalsh(_symmetrised(a, tol))
 
 
 def intensity_exp(q, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -150,6 +194,9 @@ def intensity_exp(q, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         weight *= mu / k
         result += weight * power
         accumulated += weight
+    if 1.0 - accumulated > tol.abs_tol:
+        raise ValueError(f"uniformization truncated after {k} terms with Poisson mass "
+                         f"{1.0 - accumulated:.3e} unaccounted (tolerance {tol.abs_tol})")
     return result
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice_an import ChainSpec, hamiltonian
-from .linalg import as_matrix, intensity_exp, symmetric_eigenvalues
+from .linalg import (as_matrix, check_dense_size, embedded_sum, intensity_exp,
+                     symmetric_eigenvalues)
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 from .su2_ladder import column_sum_value, entry_values, h_doubleprime
 
@@ -50,8 +51,7 @@ class LadderSpec:
         return 4 ** self.L
 
     def guard_dense(self) -> None:
-        if self.dim > 4096:
-            raise ValueError(f"state space {self.dim} exceeds dense guard 4096")
+        check_dense_size(self.dim)
 
 
 @dataclass
@@ -163,11 +163,7 @@ def build_ladder_markov(params: LadderParams, L: int, kind: str) -> MarkovChain:
     density = h_doubleprime(a, b, c)
     if kind == "intensity":
         density = density - norm * np.eye(16)
-    total = np.zeros((spec.dim, spec.dim))
-    for i in range(1, L):
-        left = np.eye(4 ** (i - 1))
-        right = np.eye(4 ** (L - i - 1))
-        total += np.kron(np.kron(left, density), right)
+    total = embedded_sum(density, L, spec.local_dim)
     if kind == "transition":
         total /= (L - 1) * norm
     return MarkovChain(kind=kind, matrix=total, spec=spec)

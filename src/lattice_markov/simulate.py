@@ -3,12 +3,15 @@
 Randomness comes from a counter-based Philox generator seeded per
 trajectory, so identical (chain, init, seed) inputs reproduce identical
 trajectories on every platform. Categorical draws use inverse-CDF lookup
-over Kahan-compensated cumulative sums; the final bucket absorbs rounding
-slack up to 1e-12.
+over Kahan-compensated cumulative sums built over the support of the
+state's column (its positive entries only), so a first visit costs the
+column's non-zeros and no draw can land on a zero-probability state; the
+last support entry absorbs rounding slack up to 1e-12.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -47,25 +50,27 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _kahan_cdf(column: np.ndarray) -> np.ndarray:
+def _support_cdf(column: np.ndarray) -> tuple[list[int], list[float]]:
+    """States (1-based) with positive mass in a non-negative column, and the
+    Kahan-compensated CDF over them; its last entry is exactly 1."""
+    support = np.flatnonzero(column)
     total = 0.0
     comp = 0.0
-    out = np.empty(column.shape[0])
-    for i, p in enumerate(column):
-        y = float(p) - comp
+    cdf = []
+    for p in column[support].tolist():
+        y = p - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        out[i] = total
-    if abs(out[-1] - 1.0) > _CDF_SLACK:
-        raise ValueError(f"column mass {out[-1]} is not 1 within {_CDF_SLACK}")
-    out[-1] = 1.0
-    return out
+        cdf.append(total)
+    if abs(total - 1.0) > _CDF_SLACK:
+        raise ValueError(f"column mass {total} is not 1 within {_CDF_SLACK}")
+    cdf[-1] = 1.0
+    return (support + 1).tolist(), cdf
 
 
-def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
-    u = rng.random()
-    return int(np.searchsorted(cdf, u, side="right"))
+def _draw(rng: np.random.Generator, states: list[int], cdf: list[float]) -> int:
+    return states[bisect.bisect_right(cdf, rng.random())]
 
 
 def simulate_dtmc(chain: MarkovChain, init: int, steps: int, seed: int) -> Trajectory:
@@ -80,14 +85,13 @@ def simulate_dtmc(chain: MarkovChain, init: int, steps: int, seed: int) -> Traje
     if steps < 0:
         raise ValueError("steps must be non-negative")
     rng = _rng(seed)
-    cdf_cache: dict[int, np.ndarray] = {}
+    cdf_cache: dict[int, tuple[list[int], list[float]]] = {}
     states = [init]
     current = init
     for _ in range(steps):
         if current not in cdf_cache:
-            column = np.clip(chain.matrix[:, current - 1], 0.0, None)
-            cdf_cache[current] = _kahan_cdf(column)
-        current = _draw(rng, cdf_cache[current]) + 1
+            cdf_cache[current] = _support_cdf(np.clip(chain.matrix[:, current - 1], 0.0, None))
+        current = _draw(rng, *cdf_cache[current])
         states.append(current)
     return Trajectory(kind="dtmc", states=states, times=None, t_max=None,
                       num_states=chain.num_states, init=init, seed=seed)
@@ -115,23 +119,27 @@ def simulate_ctmc(chain: MarkovChain, init: int, t_max: float, seed: int,
     times = [0.0]
     current = init
     t = 0.0
-    cdf_cache: dict[int, tuple[float, np.ndarray]] = {}
+    cdf_cache: dict[int, tuple[float, list[int], list[float]]] = {}
     while True:
         if current not in cdf_cache:
             rate = -float(chain.matrix[current - 1, current - 1])
             if rate <= tol.abs_tol:
-                cdf_cache[current] = (0.0, np.empty(0))
+                cdf_cache[current] = (0.0, [], [])
             else:
                 column = np.clip(chain.matrix[:, current - 1], 0.0, None)
                 column[current - 1] = 0.0
-                cdf_cache[current] = (rate, _kahan_cdf(column / rate))
-        rate, cdf = cdf_cache[current]
+                cdf_cache[current] = (rate, *_support_cdf(column / rate))
+        rate, targets, cdf = cdf_cache[current]
         if rate == 0.0:
             break  # absorbing: holds forever
-        t += rng.exponential(1.0 / rate)
-        if t >= t_max:
+        t_next = t + rng.exponential(1.0 / rate)
+        if t_next >= t_max:
             break
-        current = _draw(rng, cdf) + 1
+        if t_next == t:
+            raise ValueError(f"holding time in state {current} vanishes at t={t}: "
+                             "the path cannot advance in float64")
+        t = t_next
+        current = _draw(rng, targets, cdf)
         states.append(current)
         times.append(t)
     return Trajectory(kind="ctmc", states=states, times=times, t_max=t_max,

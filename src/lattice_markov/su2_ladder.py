@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import as_matrix, commutator, embed_one_site, frobenius_norm, kron
+from .linalg import as_matrix, commutator, embed_one_site, embedded_sum, frobenius_norm, kron
 from .braid_tl import TLElement
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 
@@ -332,19 +332,11 @@ def spin_form_hamiltonian(L: int) -> np.ndarray:
     """
     if L < 2:
         raise ValueError("need at least two rungs")
-    dim = 4 ** L
-    if dim > 4096:
-        raise ValueError(f"state space {dim} exceeds dense guard 4096")
     leg_leg = swap_sites(1, 3, 4) @ swap_sites(2, 4, 4)
     cross = swap_sites(1, 4, 4) @ swap_sites(2, 3, 4)
     rung_rung = swap_sites(1, 2, 4) @ swap_sites(3, 4, 4)
     density = 0.5 * leg_leg - 0.5 * cross + (5.0 / 6.0) * rung_rung
-    total = np.zeros((dim, dim))
-    for i in range(1, L):
-        left = np.eye(4 ** (i - 1))
-        right = np.eye(4 ** (L - i - 1))
-        total += np.kron(np.kron(left, density), right)
-    return total
+    return embedded_sum(density, L, 4)
 
 
 def coefficient_match_report() -> dict:

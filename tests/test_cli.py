@@ -59,6 +59,15 @@ def test_guard_violation_exit_two(capsys):
     assert "guard" in err
 
 
+def test_memory_error_exit_two(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 128. MiB")
+    monkeypatch.setattr(cli, "build_an_markov", exhausted)
+    code, _, err = run_cli(["markov", "an", "--n", "1", "--L", "4"], capsys)
+    assert code == 2
+    assert err.startswith("error: out of memory")
+
+
 def test_build_transition_matrix_csv(tmp_path, capsys):
     out_path = tmp_path / "p.csv"
     code, _, _ = run_cli(["build", "an", "--kind", "P", "--n", "1", "--L", "2",

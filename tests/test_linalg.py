@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from lattice_markov import linalg
+from lattice_markov import su2_ladder as lad
 from lattice_markov.an_algebra import delta_casimir
-from lattice_markov.markov import ChainSpec, build_an_markov
+from lattice_markov.lattice_an import hamiltonian, two_site_h
+from lattice_markov.markov import ChainSpec, LadderParams, build_an_markov, build_ladder_markov
 from lattice_markov.reporting import Tolerance
 
 SWAP4 = np.array([[1, 0, 0, 0],
@@ -72,6 +74,66 @@ def test_embed_errors():
         linalg.embed_two_site(np.eye(4), 3, 3, 2)
     with pytest.raises(ValueError):
         linalg.embed_two_site(np.eye(3), 1, 3, 2)
+
+
+def _kron_sum(op, L, d):
+    """Reference open-chain sum: one kron-embedded term per bond."""
+    total = np.zeros((d ** L, d ** L))
+    for i in range(1, L):
+        total += linalg.embed_two_site(op, i, L, d)
+    return total
+
+
+@pytest.mark.parametrize("d,L", [(2, 2), (2, 5), (3, 3), (3, 4), (4, 2), (4, 3)])
+def test_add_embedded_equals_kron_route(d, L):
+    rng = np.random.default_rng(100 * d + L)
+    op = rng.normal(size=(d * d, d * d))
+    for i in range(1, L):
+        total = rng.normal(size=(d ** L, d ** L))
+        expected = total + linalg.embed_two_site(op, i, L, d)
+        assert linalg.add_embedded(total, op, i, L, d) is total
+        assert np.array_equal(total, expected)
+    assert np.array_equal(linalg.embedded_sum(op, L, d), _kron_sum(op, L, d))
+
+
+def test_add_embedded_errors():
+    total = np.zeros((8, 8))
+    with pytest.raises(ValueError):
+        linalg.add_embedded(total, np.eye(4), 3, 3, 2)
+    with pytest.raises(ValueError):
+        linalg.add_embedded(total, np.eye(3), 1, 3, 2)
+    with pytest.raises(ValueError):
+        linalg.add_embedded(np.zeros((4, 4)), np.eye(4), 1, 3, 2)
+    with pytest.raises(ValueError):  # reshaping a strided view would add into a copy
+        linalg.add_embedded(np.zeros((8, 16))[:, ::2], np.eye(4), 1, 3, 2)
+    with pytest.raises(ValueError, match="exceeds dense guard 4096"):
+        linalg.embedded_sum(np.eye(4), 13, 2)
+
+
+@pytest.mark.parametrize("n,L", [(1, 6), (2, 4), (3, 3)])
+def test_hamiltonian_equals_kron_route(n, L):
+    got = hamiltonian(ChainSpec(n, L)).matrix
+    assert np.array_equal(got, _kron_sum(two_site_h(n), L, n + 1))
+
+
+@pytest.mark.parametrize("abc,L", [((16.0, 0.0, 0.0), 3), ((18.0, 1.0, 0.0), 3),
+                                   ((17.5, 0.25, 2.0), 4)])
+def test_ladder_markov_equals_kron_route(abc, L):
+    density = lad.h_doubleprime(*abc)
+    norm = lad.column_sum_value(*abc)
+    p = build_ladder_markov(LadderParams(*abc), L, "transition").matrix
+    q = build_ladder_markov(LadderParams(*abc), L, "intensity").matrix
+    assert np.array_equal(p, _kron_sum(density, L, 4) / ((L - 1) * norm))
+    assert np.array_equal(q, _kron_sum(density - norm * np.eye(16), L, 4))
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_spin_form_hamiltonian_equals_kron_route(L):
+    leg_leg = lad.swap_sites(1, 3, 4) @ lad.swap_sites(2, 4, 4)
+    cross = lad.swap_sites(1, 4, 4) @ lad.swap_sites(2, 3, 4)
+    rung_rung = lad.swap_sites(1, 2, 4) @ lad.swap_sites(3, 4, 4)
+    density = 0.5 * leg_leg - 0.5 * cross + (5.0 / 6.0) * rung_rung
+    assert np.array_equal(lad.spin_form_hamiltonian(L), _kron_sum(density, L, 4))
 
 
 def test_commutator():
@@ -179,6 +241,16 @@ def test_intensity_exp_rejects_bad_input():
         linalg.intensity_exp(np.array([[-1.0, -1.0], [1.0, 1.0]]), 1.0)
     with pytest.raises(ValueError):
         linalg.intensity_exp(np.array([[-1.0, 0.0], [2.0, 0.0]]), 1.0)
+
+
+def test_intensity_exp_raises_when_series_cannot_meet_tolerance():
+    # in exact arithmetic no partial Poisson sum reaches 1, so a zero
+    # tolerance can only be met by rounding; here it is not, and the
+    # truncated series is refused instead of returned
+    q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    with pytest.raises(ValueError, match="uniformization truncated"):
+        linalg.intensity_exp(q, 10.0, Tolerance(abs_tol=0.0))
+    assert np.allclose(linalg.intensity_exp(q, 10.0), 0.5 * np.ones((2, 2)), atol=1e-12)
 
 
 def test_matrix_serialization_roundtrip(tmp_path):

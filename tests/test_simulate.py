@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from lattice_markov import simulate as sim
 from lattice_markov.lattice_an import ChainSpec
-from lattice_markov.markov import LadderParams, MarkovChain, build_an_markov, build_ladder_markov
+from lattice_markov.markov import (LadderParams, MarkovChain, build_an_markov,
+                                   build_ladder_markov, encode)
 
 
 def test_dtmc_determinism():
@@ -150,3 +152,79 @@ def test_trajectory_csv_export(tmp_path):
     assert len(lines) == 12
     first = lines[1].split(",", 2)
     assert first[0] == "0" and first[1] == "2"
+
+
+def _sha256_repr(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+# (run, number of states on the path, SHA-256 of repr(states), of repr(times))
+GOLDEN_PATHS = [
+    (lambda: sim.simulate_dtmc(build_an_markov(ChainSpec(1, 8), "transition"),
+                               encode((0, 1, 0, 1, 1, 0, 0, 1), ChainSpec(1, 8)), 5000, seed=2024),
+     5001, "114def491ffe69ba902e57cd5ead4b23775f22e8dc4b5fb7b4ca28f0289ec8bf",
+     "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91"),
+    (lambda: sim.simulate_ctmc(build_an_markov(ChainSpec(2, 6), "intensity"),
+                               encode((0, 1, 2, 2, 1, 0), ChainSpec(2, 6)), 40.0, seed=77),
+     459, "1caf71f4d9cb051526519ffddba0febfcd55889353db6f11db7a1e6d62b55889",
+     "4b13a2001bfc6817ee995ffd49e3e5db99f3dfbf6d68b87b001bae4826bd26e7"),
+    (lambda: sim.simulate_ctmc(build_ladder_markov(LadderParams(18.0, 1.0, 0.0), 4, "intensity"),
+                               37, 5.0, seed=5),
+     4518, "067c3743edb7702380e93cfb8704e3cdbca32edf5e1c5c81de157683b490c315",
+     "7ef0a7bb496eda34ef1348ab79bbad9e9276f1b8453ebb7407a17e951665937f"),
+    (lambda: sim.simulate_dtmc(build_ladder_markov(LadderParams(16.0, 0.0, 0.0), 3, "transition"),
+                               11, 5000, seed=31),
+     5001, "787eb3999c6e07250993be02753efb66400c8830d929ce8c633ec5c335c7916a",
+     "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91"),
+]
+
+
+@pytest.mark.parametrize("run,length,states_sha,times_sha", GOLDEN_PATHS,
+                         ids=["dtmc_an_1_8", "ctmc_an_2_6", "ctmc_ladder_4", "dtmc_ladder_3"])
+def test_golden_paths(run, length, states_sha, times_sha):
+    """Seeded paths are bit-reproducible: a sampler change that alters the
+    random stream or the bucket a draw lands in shows here."""
+    traj = run()
+    assert len(traj.states) == length
+    assert _sha256_repr(traj.states) == states_sha
+    assert _sha256_repr(traj.times) == times_sha
+
+
+class _FixedUniform:
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+@pytest.mark.parametrize("chain", [
+    build_an_markov(ChainSpec(1, 8), "transition"),
+    build_ladder_markov(LadderParams(18.0, 1.0, 0.0), 4, "intensity"),
+], ids=["an_1_8_P", "ladder_4_Q"])
+def test_draw_never_lands_on_zero_probability_state(chain):
+    """The rounding slack goes to the last state with positive mass, not to
+    state dim: both chains have columns whose last entry is 0 and whose
+    cumulative sum ends at 1 - 2**-53."""
+    largest_u = 1.0 - 2.0 ** -53  # largest value rng.random() returns
+    m = chain.matrix
+    for j in range(chain.num_states):
+        column = np.clip(m[:, j], 0.0, None)
+        if chain.kind == "intensity":
+            column[j] = 0.0
+            column /= -m[j, j]
+        states, cdf = sim._support_cdf(column)
+        assert cdf[-1] == 1.0
+        assert column[states[-1] - 1] > 0.0
+        assert column[np.asarray(states) - 1].min() > 0.0
+        drawn = sim._draw(_FixedUniform(largest_u), states, cdf)
+        assert column[drawn - 1] > 0.0
+
+
+def test_ctmc_rejects_path_that_cannot_advance():
+    # state 1 holds for ~1000 time units, state 2 for ~1e-20: once in state 2
+    # the float64 clock cannot move, and the sampler says so
+    q = MarkovChain(kind="intensity", spec=None,
+                    matrix=np.array([[-1e-3, 1e20], [1e-3, -1e20]]))
+    with pytest.raises(ValueError, match="cannot advance"):
+        sim.simulate_ctmc(q, 1, 1e9, seed=0)
