@@ -68,32 +68,33 @@ def _cmd_verify(args) -> int:
     return 0 if payload["pass"] else 1
 
 
-def _cmd_build(args) -> int:
+def _build_chain(args):
+    kind = "transition" if args.kind == "P" else "intensity"
     if args.target == "an":
+        return build_an_markov(ChainSpec(args.n, args.L), kind)
+    return build_ladder_markov(LadderParams(args.a, args.b, args.c), args.L, kind)
+
+
+def _cmd_build(args) -> int:
+    if args.kind in ("P", "Q"):
+        matrix = _build_chain(args).matrix
+    elif args.target == "an":
         spec = ChainSpec(args.n, args.L)
         if args.kind == "H":
             matrix = hamiltonian(spec).matrix
         elif args.kind == "E":
             matrix = tl_from_an(args.n).matrix
-        elif args.kind in ("P", "Q"):
-            kind = "transition" if args.kind == "P" else "intensity"
-            matrix = build_an_markov(spec, kind).matrix
         else:
             raise ValueError(f"kind {args.kind} not available for target an (use H, P, Q, E)")
+    elif args.kind == "Hpp":
+        matrix = h_doubleprime(args.a, args.b, args.c)
+    elif args.kind == "H":
+        matrix = h_ladder()
+    elif args.kind == "H0":
+        matrix = h0(args.d, args.f)
     else:
-        if args.kind == "Hpp":
-            matrix = h_doubleprime(args.a, args.b, args.c)
-        elif args.kind == "H":
-            matrix = h_ladder()
-        elif args.kind == "H0":
-            matrix = h0(args.d, args.f)
-        elif args.kind in ("P", "Q"):
-            kind = "transition" if args.kind == "P" else "intensity"
-            params = LadderParams(args.a, args.b, args.c)
-            matrix = build_ladder_markov(params, args.L, kind).matrix
-        else:
-            raise ValueError(f"kind {args.kind} not available for target ladder "
-                             f"(use Hpp, H, H0, P, Q)")
+        raise ValueError(f"kind {args.kind} not available for target ladder "
+                         f"(use Hpp, H, H0, P, Q)")
     _save_matrix(matrix, args.out, args.format)
     return 0
 
@@ -104,13 +105,6 @@ def _cmd_spectrum(args) -> int:
     _emit({"n": args.n, "L": args.L, "eigenvalues": [float(x) for x in eigenvalues]},
           args.out)
     return 0
-
-
-def _build_chain(args):
-    kind = "transition" if args.kind == "P" else "intensity"
-    if args.target == "an":
-        return build_an_markov(ChainSpec(args.n, args.L), kind)
-    return build_ladder_markov(LadderParams(args.a, args.b, args.c), args.L, kind)
 
 
 def _cmd_markov(args) -> int:

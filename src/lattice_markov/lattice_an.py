@@ -15,13 +15,28 @@ import numpy as np
 from .an_algebra import delta_casimir, fundamental_rep
 from .braid_tl import tl_from_an
 from .linalg import DENSE_SIZE_GUARD  # noqa: F401  re-exported
-from .linalg import (as_matrix, check_dense_size, commutator, embed_one_site,
-                     embedded_sum, frobenius_norm, symmetric_eigenvalues)
+from .linalg import (_one_site_sum, as_matrix, check_dense_size, commutator, embedded_sum,
+                     frobenius_norm, symmetric_eigenvalues)
 from .reporting import DEFAULT_TOL, Tolerance
 
 
+class _LatticeSpec:
+    """L sites of local_dim states each: the part ChainSpec and LadderSpec share."""
+
+    def _check_length(self, sites: str) -> None:
+        if self.L < 2:
+            raise ValueError(f"need at least two {sites}")
+
+    @property
+    def dim(self) -> int:
+        return self.local_dim ** self.L
+
+    def guard_dense(self) -> None:
+        check_dense_size(self.dim)
+
+
 @dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(_LatticeSpec):
     """A rank-n chain with L sites; the state space has (n+1)^L states."""
 
     n: int
@@ -30,19 +45,11 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("rank must be >= 1")
-        if self.L < 2:
-            raise ValueError("need at least two sites")
+        self._check_length("sites")
 
     @property
     def local_dim(self) -> int:
         return self.n + 1
-
-    @property
-    def dim(self) -> int:
-        return self.local_dim ** self.L
-
-    def guard_dense(self) -> None:
-        check_dense_size(self.dim)
 
 
 @dataclass
@@ -68,14 +75,8 @@ def hamiltonian(spec: ChainSpec) -> LatticeHamiltonian:
 def global_generators(spec: ChainSpec) -> list[np.ndarray]:
     """Single-site sums of every algebra generator over all L sites."""
     spec.guard_dense()
-    rep = fundamental_rep(spec.n)
-    out = []
-    for g in rep.all_generators():
-        total = np.zeros((spec.dim, spec.dim))
-        for i in range(1, spec.L + 1):
-            total += embed_one_site(g, i, spec.L, spec.local_dim)
-        out.append(total)
-    return out
+    return [_one_site_sum(g, spec.L, spec.local_dim)
+            for g in fundamental_rep(spec.n).all_generators()]
 
 
 def symmetry_residual(h: LatticeHamiltonian) -> float:

@@ -28,13 +28,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def kron_all(ops) -> np.ndarray:
-    out = as_matrix(ops[0])
-    for op in ops[1:]:
-        out = np.kron(out, as_matrix(op))
-    return out
-
-
 DENSE_SIZE_GUARD = 4096  # largest state space built as a dense matrix
 
 
@@ -101,6 +94,25 @@ def embed_one_site(op, i: int, L: int, d: int) -> np.ndarray:
     return np.kron(np.kron(np.eye(d ** (i - 1)), op), np.eye(d ** (L - i)))
 
 
+def _one_site_sum(op, L: int, d: int) -> np.ndarray:
+    """Sum of op embedded on every site i = 1..L of an L-site chain."""
+    total = np.zeros((d ** L, d ** L))
+    for i in range(1, L + 1):
+        total += embed_one_site(op, i, L, d)
+    return total
+
+
+def _off_diagonal(m: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of a square matrix as an (n-1) x n view.
+
+    In C order the diagonal entries sit n + 1 apart, so dropping the first
+    one and the last column of the rest leaves only off-diagonal entries.
+    Nothing is copied for a C-contiguous m.
+    """
+    n = m.shape[0]
+    return m.ravel()[1:].reshape(n - 1, n + 1)[:, :-1]
+
+
 def commutator(a, b) -> np.ndarray:
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
@@ -164,8 +176,7 @@ def intensity_exp(q, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise ValueError("intensity matrix must be square")
     if t < 0:
         raise ValueError("time must be non-negative")
-    off = q - np.diag(np.diag(q))
-    if off.min() < -tol.abs_tol:
+    if _off_diagonal(q).min(initial=0.0) < -tol.abs_tol:
         raise ValueError("intensity matrix has a negative off-diagonal entry")
     colsums = q.sum(axis=0)
     if np.max(np.abs(colsums)) > max(tol.abs_tol, tol.rel_tol * max(1.0, float(np.abs(q).max()))):

@@ -12,16 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice_an import ChainSpec, hamiltonian
-from .linalg import (as_matrix, check_dense_size, embedded_sum, intensity_exp,
-                     symmetric_eigenvalues)
+from .lattice_an import ChainSpec, _LatticeSpec, two_site_h
+from .linalg import _off_diagonal, as_matrix, embedded_sum, intensity_exp, symmetric_eigenvalues
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
-from .su2_ladder import column_sum_value, entry_values, h_doubleprime
+from .su2_ladder import column_sum_value, h_doubleprime
 
 EDGE_THRESHOLD = 1e-12  # assembled entries are exact rationals; true zeros are exact
-
-# indices (0-based) into entry_values that can appear off the diagonal
-_OFFDIAG_VALUE_INDICES = (1, 2, 3, 5, 6, 7, 8)
 
 
 @dataclass(frozen=True)
@@ -32,26 +28,18 @@ class LadderParams:
 
 
 @dataclass(frozen=True)
-class LadderSpec:
+class LadderSpec(_LatticeSpec):
     """A two-leg ladder with L rungs; each rung holds four states."""
 
     params: LadderParams
     L: int
 
     def __post_init__(self) -> None:
-        if self.L < 2:
-            raise ValueError("need at least two rungs")
+        self._check_length("rungs")
 
     @property
     def local_dim(self) -> int:
         return 4
-
-    @property
-    def dim(self) -> int:
-        return 4 ** self.L
-
-    def guard_dense(self) -> None:
-        check_dense_size(self.dim)
 
 
 @dataclass
@@ -76,30 +64,25 @@ class MarkovChain:
 
 
 # ---------------------------------------------------------------------------
-# state encoding: site 1 is the most significant digit, indices are 1-based
+# state encoding: site 1 is the most significant base-local_dim digit,
+# indices are 1-based; a ladder rung (leg1, leg2) is the digit 2 leg1 + leg2
 
 
 def encode(label, spec: ChainSpec | LadderSpec) -> int:
-    if isinstance(spec, ChainSpec):
-        digits = list(label)
-        base = spec.local_dim
-        if len(digits) != spec.L:
-            raise ValueError(f"label length {len(digits)} != L = {spec.L}")
-        if any(not 0 <= v < base for v in digits):
-            raise ValueError("site value out of range")
-    else:
-        pairs = list(label)
-        if len(pairs) != spec.L:
-            raise ValueError(f"label length {len(pairs)} != L = {spec.L}")
-        digits = []
-        for leg1, leg2 in pairs:
+    digits = list(label)
+    if len(digits) != spec.L:
+        raise ValueError(f"label length {len(digits)} != L = {spec.L}")
+    if isinstance(spec, LadderSpec):
+        rungs, digits = digits, []
+        for leg1, leg2 in rungs:
             if leg1 not in (0, 1) or leg2 not in (0, 1):
                 raise ValueError("leg values must be 0 or 1")
             digits.append(2 * leg1 + leg2)
-        base = 4
+    if any(not 0 <= v < spec.local_dim for v in digits):
+        raise ValueError("site value out of range")
     index = 0
     for v in digits:
-        index = index * base + v
+        index = index * spec.local_dim + v
     return index + 1
 
 
@@ -107,33 +90,52 @@ def decode(index: int, spec: ChainSpec | LadderSpec):
     if not 1 <= index <= spec.dim:
         raise ValueError(f"index {index} out of range 1..{spec.dim}")
     value = index - 1
-    base = spec.local_dim
     digits = []
     for _ in range(spec.L):
-        digits.append(value % base)
-        value //= base
+        value, v = divmod(value, spec.local_dim)
+        digits.append(v)
     digits.reverse()
-    if isinstance(spec, ChainSpec):
-        return tuple(digits)
-    return tuple((v >> 1, v & 1) for v in digits)
+    if isinstance(spec, LadderSpec):
+        return tuple((v >> 1, v & 1) for v in digits)
+    return tuple(digits)
 
 
 # ---------------------------------------------------------------------------
 # construction
 
 
-def build_an_markov(spec: ChainSpec, kind: str) -> MarkovChain:
-    """Chain-model Markov matrices: P = H/((L-1)(n+1)), Q = H - (n+1)(L-1) I."""
+def _local_chain(spec: ChainSpec | LadderSpec, kernel: np.ndarray, column_sum: float,
+                 kind: str) -> MarkovChain:
+    """Markov matrix of a two-site kernel whose every column sums to column_sum.
+
+    transition: (sum of embedded kernels) / ((L-1) column_sum);
+    intensity: sum of embedded (kernel - column_sum * identity).
+    """
     spec.guard_dense()
-    h = hamiltonian(spec).matrix
-    norm = (spec.L - 1) * (spec.n + 1)
+    if column_sum == 0.0:  # n + 1 cannot vanish; the ladder's 4 (18 + 4a + 4b + c) can
+        raise ValueError("degenerate normalizer: 18 + 4a + 4b + c = 0")
     if kind == "transition":
-        matrix = h / norm
+        worst = float(kernel.min())
+        if worst < 0:
+            raise ValueError(f"parameters outside the non-negativity region "
+                             f"(min entry value {worst})")
     elif kind == "intensity":
-        matrix = h - norm * np.eye(spec.dim)
+        worst = float(_off_diagonal(kernel).min(initial=0.0))
+        if worst < 0:
+            raise ValueError(f"parameters give a negative off-diagonal rate "
+                             f"(min off-diagonal value {worst})")
+        kernel = kernel - column_sum * np.eye(len(kernel))
     else:
         raise ValueError("kind must be 'transition' or 'intensity'")
-    return MarkovChain(kind=kind, matrix=matrix, spec=spec)
+    total = embedded_sum(kernel, spec.L, spec.local_dim)
+    if kind == "transition":
+        total /= (spec.L - 1) * column_sum
+    return MarkovChain(kind=kind, matrix=total, spec=spec)
+
+
+def build_an_markov(spec: ChainSpec, kind: str) -> MarkovChain:
+    """Chain-model Markov matrices: P = H/((L-1)(n+1)), Q = H - (n+1)(L-1) I."""
+    return _local_chain(spec, two_site_h(spec.n), spec.n + 1, kind)
 
 
 def build_ladder_markov(params: LadderParams, L: int, kind: str) -> MarkovChain:
@@ -142,31 +144,9 @@ def build_ladder_markov(params: LadderParams, L: int, kind: str) -> MarkovChain:
     transition: (sum of embedded densities) / (4 (L-1) (18 + 4a + 4b + c));
     intensity: sum of embedded (density - column-sum * identity).
     """
-    spec = LadderSpec(params=params, L=L)
-    spec.guard_dense()
     a, b, c = params.a, params.b, params.c
-    vals = entry_values(a, b, c)
-    norm = column_sum_value(a, b, c)
-    if norm == 0.0:
-        raise ValueError("degenerate normalizer: 18 + 4a + 4b + c = 0")
-    if kind == "transition":
-        if min(vals) < 0:
-            raise ValueError(f"parameters outside the non-negativity region "
-                             f"(min entry value {min(vals)})")
-    elif kind == "intensity":
-        off = [vals[i] for i in _OFFDIAG_VALUE_INDICES]
-        if min(off) < 0:
-            raise ValueError(f"parameters give a negative off-diagonal rate "
-                             f"(min off-diagonal value {min(off)})")
-    else:
-        raise ValueError("kind must be 'transition' or 'intensity'")
-    density = h_doubleprime(a, b, c)
-    if kind == "intensity":
-        density = density - norm * np.eye(16)
-    total = embedded_sum(density, L, spec.local_dim)
-    if kind == "transition":
-        total /= (L - 1) * norm
-    return MarkovChain(kind=kind, matrix=total, spec=spec)
+    return _local_chain(LadderSpec(params=params, L=L), h_doubleprime(a, b, c),
+                        column_sum_value(a, b, c), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +167,7 @@ def validate(chain: MarkovChain, tol: Tolerance = DEFAULT_TOL) -> VerificationRe
     if chain.kind == "transition":
         min_entry = float(m.min())
     else:
-        off = m - np.diag(np.diag(m))
-        min_entry = float(off.min())
+        min_entry = float(_off_diagonal(m).min(initial=0.0))
     passed = min_entry >= -tol.abs_tol and col_dev <= tol.abs_tol
     return VerificationReport(
         name=f"markov_{chain.kind}",

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import as_matrix, commutator, embed_one_site, embedded_sum, frobenius_norm, kron
+from .linalg import _one_site_sum, as_matrix, commutator, embedded_sum, frobenius_norm, kron
 from .braid_tl import TLElement
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 
@@ -308,13 +308,7 @@ def tl_from_ladder() -> TLElement:
 
 def total_spin_generators(sites: int) -> list[np.ndarray]:
     """Sums of each (real-encoded) spin generator over all sites."""
-    out = []
-    for g in spin_generators():
-        total = np.zeros((2 ** sites, 2 ** sites))
-        for i in range(1, sites + 1):
-            total += embed_one_site(g, i, sites, 2)
-        out.append(total)
-    return out
+    return [_one_site_sum(g, sites, 2) for g in spin_generators()]
 
 
 def su2_invariance_residual(op, sites: int = 4) -> float:

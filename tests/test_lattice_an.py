@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from lattice_markov import lattice_an as lat
 from lattice_markov.braid_tl import qybe_residual
-from lattice_markov.linalg import kron_all
 
 SWAP4 = np.array([[1, 0, 0, 0],
                   [0, 0, 1, 0],
@@ -111,7 +111,7 @@ def test_spectrum_invariant_under_local_basis_change():
     h = lat.hamiltonian(spec).matrix
     rng = np.random.default_rng(21)
     local = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
-    big = kron_all([local] * 3)
+    big = functools.reduce(np.kron, [local] * 3)
     conj = big @ h @ np.linalg.inv(big)
     w_ref = lat.chain_spectrum(lat.hamiltonian(spec))
     w_conj = np.sort(np.linalg.eigvals(conj).real)

@@ -116,6 +116,15 @@ def test_hamiltonian_equals_kron_route(n, L):
     assert np.array_equal(got, _kron_sum(two_site_h(n), L, n + 1))
 
 
+@pytest.mark.parametrize("n,L", [(1, 6), (2, 4), (3, 3)])
+def test_an_markov_equals_hamiltonian_route(n, L):
+    spec = ChainSpec(n, L)
+    h = hamiltonian(spec).matrix
+    norm = (L - 1) * (n + 1)
+    assert np.array_equal(build_an_markov(spec, "transition").matrix, h / norm)
+    assert np.array_equal(build_an_markov(spec, "intensity").matrix, h - norm * np.eye(spec.dim))
+
+
 @pytest.mark.parametrize("abc,L", [((16.0, 0.0, 0.0), 3), ((18.0, 1.0, 0.0), 3),
                                    ((17.5, 0.25, 2.0), 4)])
 def test_ladder_markov_equals_kron_route(abc, L):

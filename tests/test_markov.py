@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,51 @@ def test_ladder_markov_rejects_bad_parameters():
     with pytest.raises(ValueError):
         # 18 + 4a + 4b + c = 0
         mk.build_ladder_markov(mk.LadderParams(0.0, 0.0, -18.0), 2, "transition")
+
+
+_NEGATIVE_ENTRY = "parameters outside the non-negativity region (min entry value {})"
+_NEGATIVE_RATE = "parameters give a negative off-diagonal rate (min off-diagonal value {})"
+_DEGENERATE = "degenerate normalizer: 18 + 4a + 4b + c = 0"
+
+
+@pytest.mark.parametrize("abc,kind,message", [
+    # only the diagonal is negative: a valid intensity matrix, not a transition matrix
+    ((16.0, 0.0, -30.0), "intensity", None),
+    ((16.0, 0.0, -30.0), "transition", _NEGATIVE_ENTRY.format(-50.0)),
+    # a6 = -16 + a + 2b = -1 sits off the diagonal
+    ((15.0, 0.0, 0.0), "transition", _NEGATIVE_ENTRY.format(-1.0)),
+    ((15.0, 0.0, 0.0), "intensity", _NEGATIVE_RATE.format(-1.0)),
+    ((0.0, 0.0, -18.0), "transition", _DEGENERATE),
+    ((0.0, 0.0, -18.0), "intensity", _DEGENERATE),
+])
+def test_ladder_markov_sign_and_normaliser_checks(abc, kind, message):
+    params = mk.LadderParams(*abc)
+    if message is None:
+        assert mk.validate(mk.build_ladder_markov(params, 3, kind)).passed
+        return
+    with pytest.raises(ValueError) as err:
+        mk.build_ladder_markov(params, 3, kind)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", ["transition", "intensity"])
+def test_ladder_markov_guard_precedes_parameter_checks(kind):
+    with pytest.raises(ValueError) as err:
+        mk.build_ladder_markov(mk.LadderParams(0.0, 0.0, -18.0), 7, kind)
+    assert str(err.value) == "state space 16384 exceeds dense guard 4096"
+
+
+def test_validate_intensity_allocates_no_dense_temporary():
+    chain = mk.build_an_markov(ChainSpec(1, 10), "intensity")
+    dense_bytes = chain.matrix.nbytes  # 8 MiB at dim 1024
+    tracemalloc.start()
+    try:
+        report = mk.validate(chain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < dense_bytes / 16
 
 
 def test_ladder_markov_row_flag():
