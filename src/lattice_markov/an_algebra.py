@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm, kron
+from .linalg import _one_site_sum, as_matrix, frobenius_norm, kron
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,7 @@ def unit_matrix(alpha: int, beta: int, n: int) -> np.ndarray:
 
 
 def cartan_matrix(n: int) -> np.ndarray:
-    a = 2 * np.eye(n, dtype=int)
-    for i in range(n - 1):
-        a[i, i + 1] = -1
-        a[i + 1, i] = -1
-    return a
+    return 2 * np.eye(n, dtype=int) - np.eye(n, k=1, dtype=int) - np.eye(n, k=-1, dtype=int)
 
 
 def fundamental_rep(n: int) -> AnRep:
@@ -169,8 +165,7 @@ def index_partition_check(n: int) -> bool:
 def coproduct(op: np.ndarray) -> np.ndarray:
     """Two-site coproduct x (x) 1 + 1 (x) x."""
     op = as_matrix(op)
-    ident = np.eye(op.shape[0])
-    return kron(op, ident) + kron(ident, op)
+    return _one_site_sum(op, 2, len(op))
 
 
 def casimir_quadratic_residual(n: int) -> float:

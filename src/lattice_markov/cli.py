@@ -18,8 +18,7 @@ from . import __version__, verify
 from .lattice_an import ChainSpec, hamiltonian, chain_spectrum
 from .braid_tl import tl_from_an
 from .linalg import save_matrix_csv, save_matrix_json
-from .markov import (LadderParams, absorbing_states, build_an_markov,
-                     build_ladder_markov, closed_sets)
+from .markov import LadderParams, build_an_markov, build_ladder_markov, closed_sets
 from .reporting import Tolerance
 from .simulate import occupation_summary, simulate_ctmc, simulate_dtmc, trajectory_to_csv
 from .su2_ladder import h0, h_doubleprime, h_ladder
@@ -116,8 +115,7 @@ def _cmd_markov(args) -> int:
         "parameters": ({"n": args.n, "L": args.L} if args.target == "an"
                        else {"a": args.a, "b": args.b, "c": args.c, "L": args.L}),
         "states": chain.num_states,
-        "absorbing": (absorbing_states(chain) if chain.kind == "transition"
-                      else analysis.absorbing),
+        "absorbing": analysis.absorbing,
         "closed_sets": analysis.closed_sets,
         "reducible": analysis.reducible,
     }

@@ -58,20 +58,25 @@ def embed_two_site(op, i: int, L: int, d: int) -> np.ndarray:
     return np.kron(np.kron(left, op), right)
 
 
-def add_embedded(total: np.ndarray, op, i: int, L: int, d: int) -> np.ndarray:
-    """Add embed_two_site(op, i, L, d) into total in place and return total.
+def _add_on_sites(total: np.ndarray, op: np.ndarray, i: int, L: int, d: int) -> None:
+    """Add op, acting on sites i, i+1, ... of an L-site chain, into total in place.
 
-    The embedded operator is op on the block diagonal of total viewed as
-    (a, d^2, b, a, d^2, b) with a = d^(i-1), b = d^(L-i-1), so op is added
-    to that strided view and no d^L x d^L temporary is built. Every other
-    entry of the kron route is an exact zero, so the result is equal.
+    With a = d^(i-1) and k the size of op, the embedded operator is op on the
+    block diagonal of total viewed as (a, k, b, a, k, b) and exact zeros
+    elsewhere, so op is added to that strided view with no d^L x d^L temporary.
     """
+    a, k = d ** (i - 1), len(op)
+    b = d ** L // (a * k)
+    blocks = np.einsum("xpyxqy->xypq", total.reshape(a, k, b, a, k, b))
+    blocks += op
+
+
+def add_embedded(total: np.ndarray, op, i: int, L: int, d: int) -> np.ndarray:
+    """Add embed_two_site(op, i, L, d) into total in place and return total."""
     op = _two_site_operator(op, i, L, d)
     if total.shape != (d ** L, d ** L) or not total.flags.c_contiguous:
         raise ValueError(f"total must be a C-contiguous {d ** L}x{d ** L} matrix")
-    a, b = d ** (i - 1), d ** (L - i - 1)
-    blocks = np.einsum("xpyxqy->xypq", total.reshape(a, d * d, b, a, d * d, b))
-    blocks += op
+    _add_on_sites(total, op, i, L, d)
     return total
 
 
@@ -95,10 +100,10 @@ def embed_one_site(op, i: int, L: int, d: int) -> np.ndarray:
 
 
 def _one_site_sum(op, L: int, d: int) -> np.ndarray:
-    """Sum of op embedded on every site i = 1..L of an L-site chain."""
+    """Sum of embed_one_site(op, i, L, d) over i = 1..L, added in place."""
     total = np.zeros((d ** L, d ** L))
     for i in range(1, L + 1):
-        total += embed_one_site(op, i, L, d)
+        _add_on_sites(total, op, i, L, d)
     return total
 
 
@@ -214,25 +219,16 @@ def intensity_exp(q, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # serialization: CSV (row per line) and JSON {rows, cols, entries row-major}
 
-_FMT = "{:.17g}"
-
 
 def save_matrix_csv(a, path) -> None:
-    a = as_matrix(a)
-    with open(path, "w", encoding="ascii") as fh:
-        for row in a:
-            fh.write(",".join(_FMT.format(x) for x in row))
-            fh.write("\n")
+    np.savetxt(path, as_matrix(a), fmt="%.17g", delimiter=",")
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(x) for x in line.split(",")])
-    return as_matrix(rows)
+    m = np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
+    if m.size == 0:
+        raise ValueError(f"no matrix rows in {path}")
+    return as_matrix(m)
 
 
 def matrix_to_json_dict(a) -> dict:

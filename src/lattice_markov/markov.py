@@ -183,9 +183,9 @@ def absorbing_states(chain: MarkovChain, tol: Tolerance = DEFAULT_TOL) -> list[i
     if chain.kind != "transition":
         raise ValueError("absorbing-state detection expects a transition matrix")
     m = chain.matrix
-    off = np.abs(m)
-    np.fill_diagonal(off, 0.0)
-    coupling = np.maximum(off.max(axis=1, initial=0.0), off.max(axis=0, initial=0.0))
+    off = ~np.eye(len(m), dtype=bool)  # a bool mask, not a float copy of m
+    extrema = [f(axis=axis, where=off, initial=0.0) for f in (m.max, m.min) for axis in (0, 1)]
+    coupling = np.max(np.abs(extrema), axis=0)
     unit = np.abs(np.diag(m) - 1.0) <= tol.abs_tol
     return (np.flatnonzero(unit & (coupling <= tol.abs_tol)) + 1).tolist()
 
@@ -267,20 +267,18 @@ def closed_sets(chain: MarkovChain, threshold: float = EDGE_THRESHOLD) -> ChainA
     edges = chain.matrix > threshold
     np.fill_diagonal(edges, False)
     n = edges.shape[0]
-    adjacency = [np.flatnonzero(edges[:, j]).tolist() for j in range(n)]
-    comps = _strongly_connected_components(adjacency)
-    comp_of = [0] * n
+    targets, sources = np.nonzero(edges)  # row i: the states that flow into i
+    bounds = np.searchsorted(targets, np.arange(n + 1)).tolist()
+    flat = sources.tolist()
+    # the reversed graph has the same strongly connected components
+    comps = _strongly_connected_components([flat[bounds[i]:bounds[i + 1]] for i in range(n)])
+    comp_of = np.empty(n, dtype=np.intp)
     for cid, comp in enumerate(comps):
-        for node in comp:
-            comp_of[node] = cid
-    is_sink = [True] * len(comps)
-    for j in range(n):
-        for i in adjacency[j]:
-            if comp_of[i] != comp_of[j]:
-                is_sink[comp_of[j]] = False
-    sinks = [sorted(node + 1 for node in comp)
-             for cid, comp in enumerate(comps) if is_sink[cid]]
-    sinks.sort()
+        comp_of[comp] = cid
+    # components that some flow leaves
+    leaky = set(comp_of[sources[comp_of[targets] != comp_of[sources]]].tolist())
+    sinks = sorted(sorted(node + 1 for node in comp)
+                   for cid, comp in enumerate(comps) if cid not in leaky)
     absorbing = [s[0] for s in sinks if len(s) == 1]
     return ChainAnalysis(absorbing=absorbing, closed_sets=sinks,
                          reducible=len(comps) > 1)

@@ -154,24 +154,22 @@ def empirical_distribution(traj: Trajectory, burn_in: float | None = None) -> np
     time, default 10 percent of the horizon, and the final holding
     interval extends to the horizon).
     """
-    out = np.zeros(traj.num_states)
+    if burn_in is not None and burn_in < 0:
+        raise ValueError("burn-in must be non-negative")
     if traj.kind == "dtmc":
         cut = int(0.1 * (len(traj.states) - 1)) if burn_in is None else int(burn_in)
         window = traj.states[cut:]
         if not window:
             raise ValueError("burn-in removed the whole trajectory")
-        for s in window:
-            out[s - 1] += 1.0
+        out = np.bincount(np.subtract(window, 1), minlength=traj.num_states).astype(float)
         return out / out.sum()
     assert traj.times is not None and traj.t_max is not None
     cut = 0.1 * traj.t_max if burn_in is None else float(burn_in)
     if cut >= traj.t_max:
         raise ValueError("burn-in removed the whole trajectory")
-    entries = traj.times + [traj.t_max]
-    for state, start, stop in zip(traj.states, entries, entries[1:]):
-        lo, hi = max(start, cut), min(stop, traj.t_max)
-        if hi > lo:
-            out[state - 1] += hi - lo
+    # holding time of each visit inside [cut, t_max]; a visit outside adds 0.0
+    held = np.diff(np.clip(traj.times, cut, traj.t_max), append=traj.t_max)
+    out = np.bincount(np.subtract(traj.states, 1), weights=held, minlength=traj.num_states)
     return out / out.sum()
 
 

@@ -65,15 +65,8 @@ def swap_sites(p: int, q: int, sites: int) -> np.ndarray:
     if not (1 <= p <= sites and 1 <= q <= sites and p != q):
         raise ValueError("site indices out of range or equal")
     dim = 2 ** sites
-    m = np.zeros((dim, dim))
-    for s in range(dim):
-        bits = [(s >> (sites - 1 - i)) & 1 for i in range(sites)]
-        bits[p - 1], bits[q - 1] = bits[q - 1], bits[p - 1]
-        t = 0
-        for b in bits:
-            t = (t << 1) | b
-        m[t, s] = 1.0
-    return m
+    # one row axis per site, site 1 most significant; swapping two permutes the rows
+    return np.eye(dim).reshape((2,) * sites + (dim,)).swapaxes(p - 1, q - 1).reshape(dim, dim)
 
 
 def pair_coupling(p: int, q: int, sites: int = 4) -> np.ndarray:
@@ -208,7 +201,7 @@ def h_prime(a: float, b: float, c: float) -> np.ndarray:
 
 
 # 16x16 entry pattern of the transformed density over the nine entry values
-_ENTRY_PATTERN = [
+_ENTRY_PATTERN = np.array([
     [1, 2, 2, 2, 3, 4, 4, 4, 3, 4, 4, 4, 3, 4, 4, 4],
     [2, 5, 6, 6, 7, 3, 8, 8, 8, 9, 4, 4, 8, 9, 4, 4],
     [2, 6, 5, 6, 8, 4, 9, 4, 7, 8, 3, 8, 8, 4, 9, 4],
@@ -225,7 +218,7 @@ _ENTRY_PATTERN = [
     [4, 9, 4, 8, 8, 3, 8, 7, 4, 9, 4, 8, 6, 5, 6, 2],
     [4, 4, 9, 8, 4, 4, 9, 8, 8, 8, 3, 7, 6, 6, 5, 2],
     [4, 4, 4, 3, 4, 4, 4, 3, 4, 4, 4, 3, 2, 2, 2, 1],
-]
+])
 
 
 def entry_values(a: float, b: float, c: float) -> list[float]:
@@ -249,9 +242,7 @@ def h_doubleprime(a: float, b: float, c: float) -> np.ndarray:
     Every column sums to 4 (18 + 4a + 4b + c). The matrix is symmetric:
     the entry pattern assigns the same value to (i, j) and (j, i).
     """
-    vals = entry_values(a, b, c)
-    return np.array([[vals[_ENTRY_PATTERN[r][col] - 1] for col in range(16)]
-                     for r in range(16)], dtype=float)
+    return np.array(entry_values(a, b, c), dtype=float)[_ENTRY_PATTERN - 1]
 
 
 def column_sum_value(a: float, b: float, c: float) -> float:

@@ -115,6 +115,22 @@ def test_markov_verb(capsys):
     assert payload["reducible"] is True
 
 
+@pytest.mark.parametrize("model,absorbing", [
+    (["an", "--n", "1", "--L", "3"], [1, 8]),
+    (["an", "--n", "2", "--L", "3"], [1, 14, 27]),  # the all-equal states
+    (["ladder", "--L", "3", "--a", "18", "--b", "1"], []),
+])
+def test_markov_verb_absorbing_same_for_p_and_q(model, absorbing, capsys):
+    reports = []
+    for kind in ("P", "Q"):
+        code, out, _ = run_cli(["markov"] + model + ["--kind", kind], capsys)
+        assert code == 0
+        reports.append(json.loads(out))
+    p, q = reports
+    assert p["absorbing"] == q["absorbing"] == absorbing
+    assert p["closed_sets"] == q["closed_sets"]
+
+
 def test_markov_verb_matrix_export(tmp_path, capsys):
     out_path = tmp_path / "q.json"
     code, out, _ = run_cli(["markov", "an", "--n", "1", "--L", "2", "--kind", "Q",

@@ -96,6 +96,26 @@ def test_add_embedded_equals_kron_route(d, L):
     assert np.array_equal(linalg.embedded_sum(op, L, d), _kron_sum(op, L, d))
 
 
+def test_embed_one_site_by_hand_and_errors():
+    z = np.diag([1.0, -1.0])
+    assert np.array_equal(linalg.embed_one_site(z, 1, 2, 2), np.diag([1.0, 1.0, -1.0, -1.0]))
+    assert np.array_equal(linalg.embed_one_site(z, 2, 2, 2), np.diag([1.0, -1.0, 1.0, -1.0]))
+    with pytest.raises(ValueError):
+        linalg.embed_one_site(np.eye(3), 1, 2, 2)
+    for i in (0, 3):
+        with pytest.raises(ValueError):
+            linalg.embed_one_site(z, i, 2, 2)
+
+
+@pytest.mark.parametrize("d,L", [(2, 2), (2, 5), (3, 3), (3, 4), (4, 3)])
+def test_one_site_sum_equals_kron_route(d, L):
+    op = np.random.default_rng(10 * d + L).normal(size=(d, d))
+    expected = np.zeros((d ** L, d ** L))
+    for i in range(1, L + 1):
+        expected += linalg.embed_one_site(op, i, L, d)
+    assert np.array_equal(linalg._one_site_sum(op, L, d), expected)
+
+
 def test_add_embedded_errors():
     total = np.zeros((8, 8))
     with pytest.raises(ValueError):
@@ -271,6 +291,15 @@ def test_matrix_serialization_roundtrip(tmp_path):
     linalg.save_matrix_json(a, json_path)
     assert np.array_equal(linalg.load_matrix_csv(csv_path), a)
     assert np.array_equal(linalg.load_matrix_json(json_path), a)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # np.loadtxt warns of no data first
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank_lines"])
+def test_load_matrix_csv_rejects_file_without_rows(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        linalg.load_matrix_csv(path)
 
 
 def test_tolerance_validation():

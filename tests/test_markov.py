@@ -162,10 +162,14 @@ def test_closed_sets_against_reachability_oracle():
                 raw[j, j] = 1.0  # isolated state: absorbing
         p = raw / raw.sum(axis=0)
         chain = mk.MarkovChain(kind="transition", spec=None, matrix=p)
-        got = mk.closed_sets(chain).closed_sets
+        analysis = mk.closed_sets(chain)
+        got = analysis.closed_sets
         reach = (p.T > 1e-12) | np.eye(m, dtype=bool)  # reach[i, j]: i -> j possible
         for _ in range(m):
             reach = reach | (reach @ reach)
+        # row s of the mutual-reachability matrix is the component of s
+        components = {tuple(row) for row in (reach & reach.T)}
+        assert analysis.reducible == (len(components) > 1)
         expected = []
         for s in range(m):
             members = sorted(int(t) + 1 for t in np.flatnonzero(reach[s]))
@@ -174,6 +178,8 @@ def test_closed_sets_against_reachability_oracle():
                 if members not in expected:
                     expected.append(members)
         assert got == sorted(expected)
+    empty = mk.MarkovChain(kind="transition", spec=None, matrix=np.zeros((0, 0)))
+    assert mk.closed_sets(empty) == mk.ChainAnalysis([], [], False)
 
 
 def test_particle_content_conservation():
@@ -323,6 +329,19 @@ def test_validate_intensity_allocates_no_dense_temporary():
         tracemalloc.stop()
     assert report.passed
     assert peak < dense_bytes / 16
+
+
+def test_absorbing_states_allocates_no_dense_float_copy():
+    chain = mk.build_an_markov(ChainSpec(1, 10), "transition")
+    dense_bytes = chain.matrix.nbytes  # 8 MiB at dim 1024; the off-diagonal mask is 1 MiB
+    tracemalloc.start()
+    try:
+        absorbing = mk.absorbing_states(chain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert absorbing == mk.absorbing_states_formula(chain.spec)
+    assert peak < dense_bytes / 4
 
 
 def test_ladder_markov_row_flag():

@@ -109,6 +109,16 @@ def test_empirical_distribution_burn_in_errors():
         sim.empirical_distribution(traj, burn_in=2.0)
 
 
+def test_empirical_distribution_rejects_negative_burn_in():
+    dtmc = sim.Trajectory(kind="dtmc", states=[1, 2, 1, 1], times=None, t_max=None,
+                          num_states=2, init=1, seed=0)
+    ctmc = sim.Trajectory(kind="ctmc", states=[1, 2], times=[0.0, 1.0], t_max=4.0,
+                          num_states=2, init=1, seed=0)
+    for traj in (dtmc, ctmc):
+        with pytest.raises(ValueError, match="non-negative"):
+            sim.empirical_distribution(traj, burn_in=-2)
+
+
 def test_occupation_summary():
     chain = build_an_markov(ChainSpec(1, 3), "intensity")
     traj = sim.simulate_ctmc(chain, 2, 2000.0, seed=8)
@@ -188,6 +198,36 @@ def test_golden_paths(run, length, states_sha, times_sha):
     assert len(traj.states) == length
     assert _sha256_repr(traj.states) == states_sha
     assert _sha256_repr(traj.times) == times_sha
+
+
+def _occupation_by_event(traj, burn_in):
+    """Reference occupation: one Python accumulation per visit."""
+    out = np.zeros(traj.num_states)
+    if traj.kind == "dtmc":
+        cut = int(0.1 * (len(traj.states) - 1)) if burn_in is None else int(burn_in)
+        for s in traj.states[cut:]:
+            out[s - 1] += 1.0
+        return out / out.sum()
+    cut = 0.1 * traj.t_max if burn_in is None else float(burn_in)
+    entries = traj.times + [traj.t_max]
+    for state, start, stop in zip(traj.states, entries, entries[1:]):
+        lo, hi = max(start, cut), min(stop, traj.t_max)
+        if hi > lo:
+            out[state - 1] += hi - lo
+    return out / out.sum()
+
+
+@pytest.mark.parametrize("run", [golden[0] for golden in GOLDEN_PATHS],
+                         ids=["dtmc_an_1_8", "ctmc_an_2_6", "ctmc_ladder_4", "dtmc_ladder_3"])
+def test_empirical_distribution_equals_per_event_reference(run):
+    traj = run()
+    for burn_in in (None, 0, 3, 7.5):
+        if traj.t_max is not None and burn_in is not None and burn_in >= traj.t_max:
+            with pytest.raises(ValueError, match="whole trajectory"):
+                sim.empirical_distribution(traj, burn_in)
+            continue
+        got = sim.empirical_distribution(traj, burn_in)
+        assert got.tobytes() == _occupation_by_event(traj, burn_in).tobytes()
 
 
 class _FixedUniform:

@@ -41,6 +41,23 @@ def test_pair_coupling_matches_complex_oracle():
         assert np.allclose(lad.pair_coupling(p, q), expected.real, atol=1e-15)
 
 
+@pytest.mark.parametrize("sites", [2, 3, 4, 5])
+def test_swap_sites_against_digit_swap_oracle(sites):
+    # oracle: write s in binary, site 1 most significant, and exchange digits p and q
+    for p in range(1, sites + 1):
+        for q in range(1, sites + 1):
+            if p == q:
+                continue
+            expected = np.zeros((2 ** sites, 2 ** sites))
+            for s in range(2 ** sites):
+                bits = list(format(s, f"0{sites}b"))
+                bits[p - 1], bits[q - 1] = bits[q - 1], bits[p - 1]
+                expected[int("".join(bits), 2), s] = 1.0
+            assert np.array_equal(lad.swap_sites(p, q, sites), expected)
+    with pytest.raises(ValueError):
+        lad.swap_sites(1, 1, sites)
+
+
 def test_coupling_operators_basic_properties():
     for k in (1, 2, 3):
         c = lad.c_operator(k)
