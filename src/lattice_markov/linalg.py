@@ -140,13 +140,14 @@ def is_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     return symmetry_defect(a) <= bound
 
 
-def _symmetrised(a, tol: Tolerance) -> np.ndarray:
-    """0.5 (A + A^T), so that roundoff asymmetry cannot leak into an eigen solve."""
-    a = as_matrix(a)
-    if not is_symmetric(a, tol):
-        raise ValueError(f"matrix is not symmetric within tolerance "
-                         f"(defect {symmetry_defect(a):.3e})")
-    return 0.5 * (a + a.T)
+def _symmetrised(blocks: list[np.ndarray], tol: Tolerance) -> list[np.ndarray]:
+    """0.5 (B + B^T) of each block, so that roundoff asymmetry cannot leak into an
+    eigen solve. The test is is_symmetric's on the block-diagonal matrix they form:
+    its defect and norm are the root-sum-squares of the blocks' ones."""
+    defect = math.hypot(*map(symmetry_defect, blocks))
+    if defect > max(tol.abs_tol, tol.rel_tol * math.hypot(*map(np.linalg.norm, blocks))):
+        raise ValueError(f"matrix is not symmetric within tolerance (defect {defect:.3e})")
+    return [0.5 * (b + b.T) for b in blocks]
 
 
 def symmetric_eigensystem(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -157,62 +158,88 @@ def symmetric_eigensystem(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, 
     solve. A solver that fails to converge raises np.linalg.LinAlgError,
     a ValueError.
     """
-    return np.linalg.eigh(_symmetrised(a, tol))
+    return np.linalg.eigh(_symmetrised([as_matrix(a)], tol)[0])
+
+
+def _blocks(m: np.ndarray) -> list[np.ndarray]:
+    """0-based index arrays of the connected components of the graph with an edge
+    wherever m[i, j] or m[j, i] is non-zero, so no entry of m lies off the blocks."""
+    adj = m != 0
+    adj |= adj.T
+    free, blocks = np.ones(len(m), dtype=bool), []
+    while free.any():
+        reached = np.zeros(len(m), dtype=bool)
+        reached[free.argmax()] = True
+        frontier = reached.copy()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        blocks.append(np.flatnonzero(reached))
+        free &= ~reached
+    return blocks
 
 
 def symmetric_eigenvalues(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Ascending eigenvalues (with multiplicity) of a symmetric matrix, by
-    `np.linalg.eigvalsh`: no eigenvectors are computed."""
-    return np.linalg.eigvalsh(_symmetrised(a, tol))
+    `np.linalg.eigvalsh` on each connected block of its support (`_blocks`);
+    no eigenvectors are computed. Symmetry is tested as in `is_symmetric`."""
+    a = as_matrix(a)
+    blocks = _symmetrised([a[np.ix_(b, b)] for b in _blocks(a)], tol)
+    parts = [np.linalg.eigvalsh(s) for s in blocks]
+    return np.sort(np.concatenate([np.empty(0)] + parts))  # [] for a 0 x 0 matrix
 
 
 def intensity_exp(q, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Transition semigroup e^(Q t) of an intensity matrix by uniformization.
 
     Off-diagonal entries of q must be non-negative and every column must
-    sum to zero (within tolerance). Uniformization expands e^(Qt) as a
-    Poisson mixture of powers of the substochastic jump kernel I + Q/lam,
-    so the result is non-negative by construction; the series is truncated
-    once the Poisson tail weight drops below abs_tol.
+    sum to zero (within tolerance); t must be finite and non-negative.
+    Uniformization expands e^(Qt) as a Poisson mixture of powers of the
+    substochastic jump kernel I + Q/lam, so the result is non-negative by
+    construction; the series is truncated once the Poisson tail weight
+    drops below abs_tol. Each connected block of q's support (`_blocks`)
+    is uniformized on its own, with its own rate lam; e^(Qt) is zero off them.
     """
     q = as_matrix(q)
     n = q.shape[0]
     if q.shape[0] != q.shape[1]:
         raise ValueError("intensity matrix must be square")
-    if t < 0:
-        raise ValueError("time must be non-negative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("time must be finite and non-negative")
     if _off_diagonal(q).min(initial=0.0) < -tol.abs_tol:
         raise ValueError("intensity matrix has a negative off-diagonal entry")
     colsums = q.sum(axis=0)
     if np.max(np.abs(colsums)) > max(tol.abs_tol, tol.rel_tol * max(1.0, float(np.abs(q).max()))):
         raise ValueError("intensity matrix columns do not sum to zero")
-    lam = float(np.max(np.abs(np.diag(q))))
-    if lam == 0.0 or t == 0.0:
-        return np.eye(n)
-    if lam * t > 500.0:
-        # halve the horizon to keep the leading Poisson weight above underflow;
-        # the semigroup property keeps entries non-negative
-        half = intensity_exp(q, t / 2.0, tol)
-        return half @ half
-    kernel = np.eye(n) + q / lam
-    kernel = np.clip(kernel, 0.0, None)  # clip roundoff-negative entries only
-    mu = lam * t
-    # k = 0 term
-    weight = math.exp(-mu)
-    result = weight * np.eye(n)
-    power = np.eye(n)
-    accumulated = weight
-    k = 0
-    max_terms = int(mu + 12.0 * math.sqrt(mu) + 60.0)
-    while 1.0 - accumulated > tol.abs_tol and k < max_terms:
-        k += 1
-        power = kernel @ power
-        weight *= mu / k
-        result += weight * power
-        accumulated += weight
-    if 1.0 - accumulated > tol.abs_tol:
-        raise ValueError(f"uniformization truncated after {k} terms with Poisson mass "
-                         f"{1.0 - accumulated:.3e} unaccounted (tolerance {tol.abs_tol})")
+    result = np.zeros((n, n))
+    for b in _blocks(q):
+        block = q[np.ix_(b, b)]
+        lam = float(np.max(np.abs(np.diag(block))))
+        if lam == 0.0 or t == 0.0:
+            result[b, b] = 1.0
+            continue
+        mu, squarings = lam * t, 0
+        while mu > 500.0:  # halve the horizon to keep exp(-mu) above underflow
+            mu, squarings = mu / 2.0, squarings + 1
+        # clip roundoff-negative entries only
+        kernel = np.clip(np.eye(len(b)) + block / lam, 0.0, None)
+        weight = math.exp(-mu)  # k = 0 term
+        series = weight * np.eye(len(b))
+        power = np.eye(len(b))
+        accumulated, k = weight, 0
+        max_terms = int(mu + 12.0 * math.sqrt(mu) + 60.0)
+        while 1.0 - accumulated > tol.abs_tol and k < max_terms:
+            k += 1
+            power = kernel @ power
+            weight *= mu / k
+            series += weight * power
+            accumulated += weight
+        if 1.0 - accumulated > tol.abs_tol:
+            raise ValueError(f"uniformization truncated after {k} terms with Poisson mass "
+                             f"{1.0 - accumulated:.3e} unaccounted (tolerance {tol.abs_tol})")
+        for _ in range(squarings):  # e^(2Qs) = (e^(Qs))^2 keeps entries non-negative
+            series = series @ series
+        result[np.ix_(b, b)] = series
     return result
 
 

@@ -149,13 +149,14 @@ def simulate_ctmc(chain: MarkovChain, init: int, t_max: float, seed: int,
 def empirical_distribution(traj: Trajectory, burn_in: float | None = None) -> np.ndarray:
     """Occupation frequencies after burn-in; sums to one.
 
-    Discrete paths are counted per step (burn_in counts steps, default 10
-    percent); continuous paths are weighted by holding time (burn_in is a
-    time, default 10 percent of the horizon, and the final holding
-    interval extends to the horizon).
+    Discrete paths are counted per step (burn_in is a whole number of
+    steps, default 10 percent); continuous paths are weighted by holding
+    time (burn_in is a time, default 10 percent of the horizon, and the
+    final holding interval extends to the horizon).
     """
-    if burn_in is not None and burn_in < 0:
-        raise ValueError("burn-in must be non-negative")
+    if burn_in is not None and (not burn_in >= 0 or  # NaN is refused too
+                                traj.kind == "dtmc" and not float(burn_in).is_integer()):
+        raise ValueError("burn-in must be non-negative, and a whole number of steps for a DTMC")
     if traj.kind == "dtmc":
         cut = int(0.1 * (len(traj.states) - 1)) if burn_in is None else int(burn_in)
         window = traj.states[cut:]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lattice_markov import linalg
 from lattice_markov import su2_ladder as lad
@@ -280,6 +281,129 @@ def test_intensity_exp_raises_when_series_cannot_meet_tolerance():
     with pytest.raises(ValueError, match="uniformization truncated"):
         linalg.intensity_exp(q, 10.0, Tolerance(abs_tol=0.0))
     assert np.allclose(linalg.intensity_exp(q, 10.0), 0.5 * np.ones((2, 2)), atol=1e-12)
+
+
+def test_intensity_exp_rejects_non_finite_time():
+    q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    for t in (math.inf, math.nan, -0.5):
+        with pytest.raises(ValueError, match="time must be finite and non-negative"):
+            linalg.intensity_exp(q, t)
+
+
+def _digit_sectors(n, L):
+    """Index sets of equal site-value multisets, from the base-(n+1) digits."""
+    d = n + 1
+    digits = (np.arange(d ** L)[:, None] // d ** np.arange(L)) % d
+    counts = [tuple(np.bincount(row, minlength=d)) for row in digits]
+    sectors = {}
+    for index, key in enumerate(counts):
+        sectors.setdefault(key, []).append(index)
+    return sorted(sectors.values())
+
+
+@pytest.mark.parametrize("n,L", [(1, 6), (2, 4), (3, 3), (1, 10)])
+def test_blocks_are_the_multiset_sectors(n, L):
+    got = linalg._blocks(hamiltonian(ChainSpec(n, L)).matrix)
+    assert sorted(b.tolist() for b in got) == _digit_sectors(n, L)
+
+
+@pytest.mark.parametrize("abc", [(16.0, 0.0, 0.0), (18.0, 1.0, 0.0)])
+@pytest.mark.parametrize("L", [3, 4])
+@pytest.mark.parametrize("kind", ["transition", "intensity"])
+def test_ladder_chain_is_one_block(abc, L, kind):
+    got = linalg._blocks(build_ladder_markov(LadderParams(*abc), L, kind).matrix)
+    assert len(got) == 1 and np.array_equal(got[0], np.arange(4 ** L))
+
+
+@pytest.mark.parametrize("n,L", [(1, 6), (1, 8), (1, 10), (2, 4), (2, 6), (3, 5)])
+def test_blocked_eigenvalues_match_dense_eigvalsh(n, L):
+    h = hamiltonian(ChainSpec(n, L)).matrix
+    ref = np.linalg.eigvalsh(h)
+    got = linalg.symmetric_eigenvalues(h)
+    assert len(linalg._blocks(h)) == math.comb(L + n, n)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n,L,t", [(1, 6, 0.8), (2, 4, 0.7), (1, 9, 1.0)])
+def test_blocked_intensity_exp_matches_scipy_expm(n, L, t):
+    q = build_an_markov(ChainSpec(n, L), "intensity").matrix
+    assert np.max(np.abs(linalg.intensity_exp(q, t) - scipy.linalg.expm(q * t))) <= 1e-9
+
+
+def test_blocks_need_not_be_contiguous():
+    q = build_an_markov(ChainSpec(2, 4), "intensity").matrix
+    perm = np.random.default_rng(7).permutation(len(q))
+    qp = q[np.ix_(perm, perm)]
+    blocks = linalg._blocks(qp)
+    assert len(blocks) == 15 and any(np.any(np.diff(b) > 1) for b in blocks)
+    assert sorted(np.sort(perm[b]).tolist() for b in blocks) == _digit_sectors(2, 4)
+    got = linalg.intensity_exp(qp, 0.7)
+    assert np.max(np.abs(got - scipy.linalg.expm(qp * 0.7))) <= 1e-9
+    h = hamiltonian(ChainSpec(2, 4)).matrix[np.ix_(perm, perm)]
+    ref = np.linalg.eigvalsh(h)
+    assert np.max(np.abs(linalg.symmetric_eigenvalues(h) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_one_way_rates_join_their_states():
+    # 1 -> 2 -> 3 at rates 1 and 2, 4 <-> 5: no rate leads back to state 1
+    q = np.zeros((5, 5))
+    q[1, 0], q[2, 1] = 1.0, 2.0
+    q[3, 4] = q[4, 3] = 0.5
+    q -= np.diag(q.sum(axis=0))
+    for m in (q, q.T):
+        assert [b.tolist() for b in linalg._blocks(m)] == [[0, 1, 2], [3, 4]]
+    assert np.max(np.abs(linalg.intensity_exp(q, 1.2) - scipy.linalg.expm(q * 1.2))) <= 1e-9
+
+
+def test_tiny_coupling_keeps_blocks_joined():
+    m = np.zeros((4, 4))
+    m[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+    m[2:, 2:] = [[0.0, 2.0], [2.0, 0.0]]
+    assert [b.tolist() for b in linalg._blocks(m)] == [[0, 1], [2, 3]]
+    m[1, 2] = m[2, 1] = 1e-300
+    assert [b.tolist() for b in linalg._blocks(m)] == [[0, 1, 2, 3]]
+    assert np.allclose(linalg.symmetric_eigenvalues(m), [-2.0, -1.0, 1.0, 2.0], atol=1e-15)
+    q = m - np.diag(m.sum(axis=0))
+    assert np.max(np.abs(linalg.intensity_exp(q, 1.5) - scipy.linalg.expm(q * 1.5))) <= 1e-9
+
+
+@pytest.mark.parametrize("entry", [(0, 2), (2, 0)])
+def test_one_sided_entry_is_rejected_as_asymmetric(entry):
+    m = np.diag([1.0, 2.0, 3.0])
+    m[entry] = 0.5  # joins states 1 and 3 into one block, with no mirror entry
+    with pytest.raises(ValueError) as blocked:
+        linalg.symmetric_eigenvalues(m)
+    with pytest.raises(ValueError) as dense:
+        linalg.symmetric_eigensystem(m)
+    assert str(blocked.value) == str(dense.value) == \
+        "matrix is not symmetric within tolerance (defect 7.071e-01)"
+
+
+def test_blocked_symmetry_test_is_the_global_one():
+    # an asymmetry that the large block's norm covers passes, as is_symmetric decides
+    small = np.array([[1.0, 1e-7], [0.0, 1.0]])
+    for scale in (1.0, 1e3, 1e6):
+        m = scipy.linalg.block_diag(small, scale * np.array([[2.0, 1.0], [1.0, 2.0]]))
+        if linalg.is_symmetric(m):
+            assert np.allclose(linalg.symmetric_eigenvalues(m), np.linalg.eigvalsh(0.5 * (m + m.T)))
+        else:
+            with pytest.raises(ValueError, match="not symmetric"):
+                linalg.symmetric_eigenvalues(m)
+    assert not linalg.is_symmetric(scipy.linalg.block_diag(small, np.eye(2)))
+    assert linalg.is_symmetric(scipy.linalg.block_diag(small, 1e6 * np.eye(2)))
+
+
+def test_intensity_exp_squares_only_the_fast_block():
+    # first block: lam = 400.01, lam * t = 1200.03 > 500, so two squarings, and a
+    # slow mode (rate ~0.01) that has not mixed by t = 3; second block: lam * t = 30
+    fast = np.array([[-400.0, 400.0, 0.0], [400.0, -400.01, 0.01], [0.0, 0.01, -0.01]])
+    slow = 10.0 * np.array([[-1.0, 1.0], [1.0, -1.0]])
+    t = 3.0
+    q = scipy.linalg.block_diag(fast, slow)
+    got = linalg.intensity_exp(q, t)
+    assert np.max(np.abs(got - scipy.linalg.expm(q * t))) <= 1e-9
+    assert np.array_equal(got[:3, 3:], np.zeros((3, 2))) and got.min() >= 0.0
+    assert got[2, 2] > 0.9  # the slow mode is still far from the uniform 1/3
 
 
 def test_matrix_serialization_roundtrip(tmp_path):

@@ -119,6 +119,23 @@ def test_empirical_distribution_rejects_negative_burn_in():
             sim.empirical_distribution(traj, burn_in=-2)
 
 
+def test_empirical_distribution_dtmc_burn_in_counts_whole_steps():
+    dtmc = sim.Trajectory(kind="dtmc", states=[1, 2, 1, 1, 2, 1, 2, 2, 1], times=None,
+                          t_max=None, num_states=2, init=1, seed=0)
+    assert np.array_equal(sim.empirical_distribution(dtmc, 3), [0.5, 0.5])
+    assert np.array_equal(sim.empirical_distribution(dtmc, 3.0), [0.5, 0.5])
+    assert np.array_equal(sim.empirical_distribution(dtmc, np.int64(3)), [0.5, 0.5])
+    for bad in (7.5, 0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            sim.empirical_distribution(dtmc, bad)
+    # a continuous burn-in stays a time: 2.5 cuts the first visit's holding interval
+    ctmc = sim.Trajectory(kind="ctmc", states=[1, 2], times=[0.0, 3.0], t_max=4.0,
+                          num_states=2, init=1, seed=0)
+    assert np.allclose(sim.empirical_distribution(ctmc, 2.5), [1 / 3, 2 / 3])
+    with pytest.raises(ValueError, match="non-negative"):
+        sim.empirical_distribution(ctmc, float("nan"))
+
+
 def test_occupation_summary():
     chain = build_an_markov(ChainSpec(1, 3), "intensity")
     traj = sim.simulate_ctmc(chain, 2, 2000.0, seed=8)
@@ -222,6 +239,10 @@ def _occupation_by_event(traj, burn_in):
 def test_empirical_distribution_equals_per_event_reference(run):
     traj = run()
     for burn_in in (None, 0, 3, 7.5):
+        if traj.t_max is None and burn_in == 7.5:
+            with pytest.raises(ValueError, match="whole number of steps"):
+                sim.empirical_distribution(traj, burn_in)
+            continue
         if traj.t_max is not None and burn_in is not None and burn_in >= traj.t_max:
             with pytest.raises(ValueError, match="whole trajectory"):
                 sim.empirical_distribution(traj, burn_in)
