@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _one_site_sum, as_matrix, frobenius_norm, kron
+from .linalg import _one_site_sum, as_matrix, embed_two_site, frobenius_norm, kron
 
 
 @dataclass(frozen=True)
@@ -191,9 +191,7 @@ def casimir_cubic_residuals(n: int) -> tuple[float, float]:
     """
     d = n + 1
     dc = delta_casimir(n)
-    ident = np.eye(d)
-    a = kron(dc, ident)
-    b = kron(ident, dc)
+    a, b = (embed_two_site(dc, i, 3, d) for i in (1, 2))
     i3 = np.eye(d ** 3)
     lhs1 = a @ b @ a - n * (b @ a + a @ b) + (n * n - 1) * a + n * n * b + n * (1 - n * n) * i3
     lhs2 = b @ a @ b - n * (b @ a + a @ b) + (n * n - 1) * b + n * n * a + n * (1 - n * n) * i3

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .an_algebra import delta_casimir
-from .linalg import as_matrix, frobenius_norm, kron
+from .linalg import as_matrix, embed_two_site, frobenius_norm
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 
 
@@ -32,9 +32,7 @@ def qybe_residual(h, local_dim: int | None = None) -> float:
     if h.shape[0] != h.shape[1]:
         raise ValueError("two-site operator must be square")
     d = _local_dim(h, local_dim)
-    ident = np.eye(d)
-    h12 = kron(h, ident)
-    h23 = kron(ident, h)
+    h12, h23 = (embed_two_site(h, i, 3, d) for i in (1, 2))
     return frobenius_norm(h12 @ h23 @ h12 - h23 @ h12 @ h23)
 
 
@@ -55,25 +53,16 @@ def spectral_qybe_residual(h, x: float, y: float, shift: float = 16.0) -> float:
     """Residual of the parameterized braid identity for the affine family.
 
     The family is h(x) = (x - 1) h + shift * I and the identity checked is
-    h12(x) h23(x y) h12(y) = h23(y) h12(x y) h23(x). The default shift of
+    h12(x) h23(x y) h12(y) = h23(y) h12(x y) h23(x), with the family on the
+    three sites written as (x - 1) h12 + shift * I. The default shift of
     16 pairs with the ladder operator returned by su2_ladder.h_ladder().
     """
     h = as_matrix(h)
     d = _local_dim(h, None)
-    ident_local = np.eye(d)
-    ident_pair = np.eye(h.shape[0])
-
-    def family(u: float) -> np.ndarray:
-        return (u - 1.0) * h + shift * ident_pair
-
-    def left(op: np.ndarray) -> np.ndarray:
-        return kron(op, ident_local)
-
-    def right(op: np.ndarray) -> np.ndarray:
-        return kron(ident_local, op)
-
-    lhs = left(family(x)) @ right(family(x * y)) @ left(family(y))
-    rhs = right(family(y)) @ left(family(x * y)) @ right(family(x))
+    h12, h23 = (embed_two_site(h, i, 3, d) for i in (1, 2))
+    s = shift * np.eye(d ** 3)
+    lhs = ((x - 1.0) * h12 + s) @ ((x * y - 1.0) * h23 + s) @ ((y - 1.0) * h12 + s)
+    rhs = ((y - 1.0) * h23 + s) @ ((x * y - 1.0) * h12 + s) @ ((x - 1.0) * h23 + s)
     return frobenius_norm(lhs - rhs)
 
 
@@ -100,9 +89,7 @@ class TLElement:
 def tl_check(e: TLElement, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
     """Certify the Temperley-Lieb relations for a candidate element."""
     m = e.matrix
-    ident = np.eye(e.local_dim)
-    e1 = kron(m, ident)
-    e2 = kron(ident, m)
+    e1, e2 = (embed_two_site(m, i, 3, e.local_dim) for i in (1, 2))
     residuals = {
         "idempotent": frobenius_norm(m @ m - e.beta * m),
         "contract_left": frobenius_norm(e1 @ e2 @ e1 - e1),

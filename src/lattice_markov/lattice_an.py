@@ -15,8 +15,8 @@ import numpy as np
 from .an_algebra import delta_casimir, fundamental_rep
 from .braid_tl import tl_from_an
 from .linalg import DENSE_SIZE_GUARD  # noqa: F401  re-exported
-from .linalg import (_one_site_sum, as_matrix, check_dense_size, commutator, embedded_sum,
-                     frobenius_norm, symmetric_eigenvalues)
+from .linalg import (_one_site_sum, as_matrix, check_dense_size, embedded_sum, frobenius_norm,
+                     invariance_residual, symmetric_eigenvalues)
 from .reporting import DEFAULT_TOL, Tolerance
 
 
@@ -81,8 +81,7 @@ def global_generators(spec: ChainSpec) -> list[np.ndarray]:
 
 def symmetry_residual(h: LatticeHamiltonian) -> float:
     """Largest commutator norm of the Hamiltonian with a global generator."""
-    return max(frobenius_norm(commutator(h.matrix, g))
-               for g in global_generators(h.spec))
+    return invariance_residual(h.matrix, global_generators(h.spec))
 
 
 def chain_spectrum(h, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

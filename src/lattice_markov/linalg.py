@@ -125,6 +125,11 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
+def invariance_residual(op, generators) -> float:
+    """Largest commutator norm of op with any of the generators."""
+    return max(frobenius_norm(commutator(op, g)) for g in generators)
+
+
 def frobenius_norm(a) -> float:
     return float(np.linalg.norm(as_matrix(a)))
 
@@ -269,7 +274,7 @@ def matrix_from_json_dict(obj) -> np.ndarray:
     entries = np.asarray(obj["entries"], dtype=float)
     if entries.size != rows * cols:
         raise ValueError("entry count does not match rows*cols")
-    return entries.reshape(rows, cols)
+    return as_matrix(entries.reshape(rows, cols))
 
 
 def save_matrix_json(a, path) -> None:

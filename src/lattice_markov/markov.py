@@ -311,6 +311,8 @@ def stationary_distribution(chain: MarkovChain, closed_set,
     members = sorted(int(s) for s in closed_set)
     if not members:
         raise ValueError("closed set is empty")
+    if members[0] < 1 or members[-1] > chain.num_states or len(set(members)) < len(members):
+        raise ValueError(f"closed set members must be distinct states in 1..{chain.num_states}")
     idx = [s - 1 for s in members]
     outside = sorted(set(range(chain.num_states)) - set(idx))
     q = chain.matrix

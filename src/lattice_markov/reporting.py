@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -14,7 +13,7 @@ class Tolerance:
     rel_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.abs_tol < 0 or self.rel_tol < 0:
+        if not (self.abs_tol >= 0 and self.rel_tol >= 0):  # NaN is refused too
             raise ValueError("tolerances must be non-negative")
 
 
@@ -48,6 +47,3 @@ class VerificationReport:
         if self.info:
             out["info"] = self.info
         return out
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.as_dict(), **kwargs)

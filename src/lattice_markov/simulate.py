@@ -112,8 +112,8 @@ def simulate_ctmc(chain: MarkovChain, init: int, t_max: float, seed: int,
         raise ValueError(f"invalid intensity matrix: {report.residuals}")
     if not 1 <= init <= chain.num_states:
         raise ValueError(f"initial state {init} out of range")
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < math.inf:  # a NaN or infinite horizon is never reached
+        raise ValueError("t_max must be finite and positive")
     rng = _rng(seed)
     states = [init]
     times = [0.0]

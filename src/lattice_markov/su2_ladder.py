@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import _one_site_sum, as_matrix, commutator, embedded_sum, frobenius_norm, kron
+from .linalg import _one_site_sum, embedded_sum, frobenius_norm, invariance_residual, kron
 from .braid_tl import TLElement
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 
@@ -304,8 +304,7 @@ def total_spin_generators(sites: int) -> list[np.ndarray]:
 
 def su2_invariance_residual(op, sites: int = 4) -> float:
     """Largest commutator norm of an operator with the total spin components."""
-    op = as_matrix(op)
-    return max(frobenius_norm(commutator(op, g)) for g in total_spin_generators(sites))
+    return invariance_residual(op, total_spin_generators(sites))
 
 
 def spin_form_hamiltonian(L: int) -> np.ndarray:

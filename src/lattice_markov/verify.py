@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import an_algebra, braid_tl, lattice_an, markov, su2_ladder
-from .linalg import commutator, frobenius_norm, kron
+from .linalg import commutator, frobenius_norm, invariance_residual, kron
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 
 H0_GRID = (-1.0, 0.0, 1.0, 2.0)
@@ -34,38 +34,29 @@ def verify_an(n: int, L: int, tol: Tolerance = DEFAULT_TOL) -> list[Verification
         0.5))
 
     worst = 0.0
-    a_matrix = rep.cartan_matrix
-    simple = list(range(n))
-    for i in simple:
-        for j in simple:
-            worst = max(worst, frobenius_norm(commutator(rep.cartan[i], rep.cartan[j])))
-            e_j = rep.raising[rep.raising_pairs.index((j + 1, j + 2))]
-            f_j = rep.lowering[rep.raising_pairs.index((j + 1, j + 2))]
-            e_i = rep.raising[rep.raising_pairs.index((i + 1, i + 2))]
-            f_i = rep.lowering[rep.raising_pairs.index((i + 1, i + 2))]
+    a_matrix, h = rep.cartan_matrix, rep.cartan
+    simple = [rep.raising_pairs.index((i + 1, i + 2)) for i in range(n)]
+    e = [rep.raising[k] for k in simple]
+    f = [rep.lowering[k] for k in simple]
+    for i in range(n):
+        for j in range(n):
+            worst = max(worst, frobenius_norm(commutator(h[i], h[j])))
             delta = 1.0 if i == j else 0.0
-            worst = max(worst, frobenius_norm(commutator(e_i, f_j) - delta * rep.cartan[i]))
-            worst = max(worst, frobenius_norm(commutator(rep.cartan[i], e_j) - a_matrix[i, j] * e_j))
-            worst = max(worst, frobenius_norm(commutator(rep.cartan[i], f_j) + a_matrix[i, j] * f_j))
+            worst = max(worst, frobenius_norm(commutator(e[i], f[j]) - delta * h[i]))
+            worst = max(worst, frobenius_norm(commutator(h[i], e[j]) - a_matrix[i, j] * e[j]))
+            worst = max(worst, frobenius_norm(commutator(h[i], f[j]) + a_matrix[i, j] * f[j]))
     checks.append(VerificationReport.from_residuals(
         "chevalley_relations", {"worst": worst}, tol.abs_tol))
 
-    dc = an_algebra.delta_casimir(n)
-    worst = 0.0
-    hom = 0.0
-    for e, f, (alpha, beta) in zip(rep.raising, rep.lowering, rep.raising_pairs):
-        de, df = an_algebra.coproduct(e), an_algebra.coproduct(f)
-        worst = max(worst, frobenius_norm(commutator(dc, de)),
-                    frobenius_norm(commutator(dc, df)))
-        if beta == alpha + 1:
-            dh = an_algebra.coproduct(rep.cartan[alpha - 1])
-            hom = max(hom, frobenius_norm(commutator(de, df) - dh))
-    for h in rep.cartan:
-        worst = max(worst, frobenius_norm(commutator(dc, an_algebra.coproduct(h))))
+    coproduct = an_algebra.coproduct
+    hom = max(frobenius_norm(commutator(coproduct(e[i]), coproduct(f[i])) - coproduct(h[i]))
+              for i in range(n))
     checks.append(VerificationReport.from_residuals(
         "coproduct_homomorphism", {"worst": hom}, tol.abs_tol))
+    invariance = invariance_residual(an_algebra.delta_casimir(n),
+                                     map(coproduct, rep.all_generators()))
     checks.append(VerificationReport.from_residuals(
-        "casimir_invariance", {"worst": worst}, tol.abs_tol))
+        "casimir_invariance", {"worst": invariance}, tol.abs_tol))
 
     checks.append(VerificationReport.from_residuals(
         "casimir_quadratic", {"residual": an_algebra.casimir_quadratic_residual(n)},
@@ -133,20 +124,17 @@ def verify_ladder(a: float, b: float, c: float, L: int = 2,
     """Full certification of the two-leg ladder stack at parameters (a, b, c)."""
     checks: list[VerificationReport] = []
 
-    invariance = max(
-        max(su2_ladder.su2_invariance_residual(su2_ladder.c_operator(k)) for k in (1, 2, 3)),
-        su2_ladder.su2_invariance_residual(su2_ladder.h0(1.0, 2.0)),
-        su2_ladder.su2_invariance_residual(su2_ladder.h_ladder()),
-        su2_ladder.su2_invariance_residual(su2_ladder.h_prime(a, b, c)),
-    )
+    spin = su2_ladder.total_spin_generators(4)
+    ops = [su2_ladder.c_operator(k) for k in (1, 2, 3)] + [
+        su2_ladder.h0(1.0, 2.0), su2_ladder.h_ladder(), su2_ladder.h_prime(a, b, c)]
+    invariance = max(invariance_residual(op, spin) for op in ops)
     checks.append(VerificationReport.from_residuals(
         "su2_invariance", {"worst_commutator": invariance}, tol.abs_tol * 1e3))
 
     bb = kron(su2_ladder.basis_change(), su2_ladder.basis_change())
     bb_inv = np.linalg.inv(bb)
-    conj = max(
-        frobenius_norm(commutator(su2_ladder.h_doubleprime(a, b, c), bb @ g @ bb_inv))
-        for g in su2_ladder.total_spin_generators(4))
+    hdp = su2_ladder.h_doubleprime(a, b, c)
+    conj = invariance_residual(hdp, [bb @ g @ bb_inv for g in spin])
     checks.append(VerificationReport.from_residuals(
         "su2_invariance_transformed", {"worst_commutator": conj}, tol.abs_tol * 1e3))
 
@@ -168,7 +156,6 @@ def verify_ladder(a: float, b: float, c: float, L: int = 2,
     checks.append(VerificationReport.from_residuals(
         "similarity", {"residual": su2_ladder.similarity_residual(a, b, c)}, 1e-8))
 
-    hdp = su2_ladder.h_doubleprime(a, b, c)
     col_dev = float(np.max(np.abs(hdp.sum(axis=0) - su2_ladder.column_sum_value(a, b, c))))
     checks.append(VerificationReport.from_residuals(
         "column_sums", {"deviation": col_dev}, tol.abs_tol))

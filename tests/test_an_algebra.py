@@ -141,6 +141,21 @@ def test_cubic_defect_is_scaled_alternating_projector():
     assert np.array_equal(lhs, -(n + 1) ** 3 * alternating_sum(d))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_cubic_residuals_equal_kron_pair_route(n):
+    # reference: the pair built by hand as DC (x) 1 and 1 (x) DC; both sides are
+    # far from zero here, so a dropped or mis-signed term changes the value
+    d = n + 1
+    dc = ala.delta_casimir(n)
+    a, b = kron(dc, np.eye(d)), kron(np.eye(d), dc)
+    i3 = np.eye(d ** 3)
+    lhs1 = a @ b @ a - n * (b @ a + a @ b) + (n * n - 1) * a + n * n * b + n * (1 - n * n) * i3
+    lhs2 = b @ a @ b - n * (b @ a + a @ b) + (n * n - 1) * b + n * n * a + n * (1 - n * n) * i3
+    expected = (frobenius_norm(lhs1), frobenius_norm(lhs2))
+    assert min(expected) > 1.0
+    assert ala.casimir_cubic_residuals(n) == expected
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_coproduct_homomorphism(n):
     rep = ala.fundamental_rep(n)

@@ -5,6 +5,7 @@ import pytest
 
 from lattice_markov import braid_tl as btl
 from lattice_markov.an_algebra import delta_casimir
+from lattice_markov.linalg import frobenius_norm, kron
 from lattice_markov.su2_ladder import h_ladder, tl_from_ladder
 
 
@@ -139,3 +140,49 @@ def test_spectral_braid_samples(x, y):
 
 def test_spectral_braid_wrong_shift_fails():
     assert btl.spectral_qybe_residual(h_ladder(), 2.0, 3.0, shift=5.0) > 1.0
+
+
+# References below build the three-site pair by hand as h (x) 1 and 1 (x) h,
+# and are compared exactly at points where the residual is far from zero.
+
+
+def test_qybe_residual_equals_kron_pair_route():
+    h = np.random.default_rng(12).normal(size=(9, 9))
+    h12, h23 = kron(h, np.eye(3)), kron(np.eye(3), h)
+    expected = frobenius_norm(h12 @ h23 @ h12 - h23 @ h12 @ h23)
+    assert expected > 1.0
+    assert btl.qybe_residual(h) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tl_check_equals_kron_pair_route(n):
+    element = btl.tl_from_an(n)
+    m, ident = element.matrix, np.eye(n + 1)
+    e1, e2 = kron(m, ident), kron(ident, m)
+    expected = {
+        "idempotent": frobenius_norm(m @ m - element.beta * m),
+        "contract_left": frobenius_norm(e1 @ e2 @ e1 - e1),
+        "contract_right": frobenius_norm(e2 @ e1 @ e2 - e2),
+    }
+    assert min(expected["contract_left"], expected["contract_right"]) > 1.0
+    assert btl.tl_check(element).residuals == expected
+
+
+def test_spectral_braid_equals_closure_route():
+    h, x, y, shift = h_ladder(), 2.0, 3.0, 5.0
+    ident_local, ident_pair = np.eye(4), np.eye(16)
+
+    def family(u):
+        return (u - 1.0) * h + shift * ident_pair
+
+    def left(op):
+        return kron(op, ident_local)
+
+    def right(op):
+        return kron(ident_local, op)
+
+    lhs = left(family(x)) @ right(family(x * y)) @ left(family(y))
+    rhs = right(family(y)) @ left(family(x * y)) @ right(family(x))
+    expected = frobenius_norm(lhs - rhs)
+    assert expected > 1.0
+    assert btl.spectral_qybe_residual(h, x, y, shift=shift) == expected

@@ -47,6 +47,13 @@ def test_verify_ladder_positivity_failure(capsys):
     assert "ladder_positivity" in failed
 
 
+@pytest.mark.parametrize("target", ["an", "ladder"])
+def test_verify_nan_tolerance_exits_two(target, capsys):
+    code, out, err = run_cli(["verify", target, "--tol", "nan"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: tolerances must be non-negative\n"
+
+
 def test_bad_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["verify", "nonsense"])

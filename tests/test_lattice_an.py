@@ -6,6 +6,7 @@ import pytest
 
 from lattice_markov import lattice_an as lat
 from lattice_markov.braid_tl import qybe_residual
+from lattice_markov.linalg import commutator, frobenius_norm
 
 SWAP4 = np.array([[1, 0, 0, 0],
                   [0, 0, 1, 0],
@@ -75,6 +76,15 @@ def test_symmetry_negative_control():
     h = lat.LatticeHamiltonian(spec=lat.ChainSpec(1, 2),
                                matrix=np.diag([1.0, 2.0, 3.0, 4.0]))
     assert lat.symmetry_residual(h) > 1.0
+
+
+def test_symmetry_residual_equals_per_generator_loop():
+    h = lat.hamiltonian(lat.ChainSpec(2, 3))
+    h.matrix[0, 1] += 0.25  # one off-diagonal pair breaks the symmetry
+    h.matrix[1, 0] += 0.25
+    expected = max(frobenius_norm(commutator(h.matrix, g)) for g in lat.global_generators(h.spec))
+    assert expected > 0.1
+    assert lat.symmetry_residual(h) == expected
 
 
 def test_chain_spectrum_against_lapack_oracle():

@@ -179,6 +179,19 @@ def test_commutator():
         linalg.commutator(np.eye(2), np.eye(3))
 
 
+def test_invariance_residual_is_the_largest_commutator_norm():
+    rng = np.random.default_rng(4)
+    op = rng.normal(size=(5, 5))
+    gens = [s * rng.normal(size=(5, 5)) for s in (1.0, 3.0, 2.0)]
+    norms = [linalg.frobenius_norm(linalg.commutator(op, g)) for g in gens]
+    assert len(set(norms)) == 3
+    for k in range(3):  # the largest commutator at every position, list or iterator
+        rolled = gens[k:] + gens[:k]
+        assert linalg.invariance_residual(op, rolled) == max(norms)
+        assert linalg.invariance_residual(op, iter(rolled)) == max(norms)
+    assert linalg.invariance_residual(op, [op, np.eye(5)]) == 0.0
+
+
 def test_frobenius_norm():
     assert linalg.frobenius_norm(np.zeros((3, 3))) == 0.0
     assert linalg.frobenius_norm(np.eye(4)) == 2.0
@@ -429,3 +442,18 @@ def test_load_matrix_csv_rejects_file_without_rows(tmp_path, text):
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(abs_tol=-1.0)
+
+
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+def test_tolerance_rejects_nan(field):
+    with pytest.raises(ValueError, match="non-negative"):
+        Tolerance(**{field: math.nan})
+
+
+def test_load_matrix_json_rejects_non_finite_entries(tmp_path):
+    json_path, csv_path = tmp_path / "m.json", tmp_path / "m.csv"
+    json_path.write_text('{"rows": 1, "cols": 2, "entries": [NaN, Infinity]}')
+    csv_path.write_text("nan,inf\n")
+    for load, path in [(linalg.load_matrix_json, json_path), (linalg.load_matrix_csv, csv_path)]:
+        with pytest.raises(ValueError, match="non-finite"):
+            load(path)

@@ -239,6 +239,13 @@ def test_stationary_rejects_degenerate_null_space():
         mk.stationary_distribution(q, [1, 2, 3, 5])
 
 
+@pytest.mark.parametrize("members", [[0], [9], [8, 8], [2, 3, 5, 5]])
+def test_stationary_rejects_members_outside_or_repeated(members):
+    q = mk.build_an_markov(ChainSpec(1, 3), "intensity")
+    with pytest.raises(ValueError, match=r"distinct states in 1\.\.8"):
+        mk.stationary_distribution(q, members)
+
+
 def test_every_closed_set_of_intensity_chain_is_uniform():
     for n, L in [(1, 3), (1, 4), (2, 3)]:
         q = mk.build_an_markov(ChainSpec(n, L), "intensity")

@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +164,36 @@ def test_simulation_rejects_invalid_inputs():
         sim.simulate_dtmc(q, 1, 10, seed=1)
     with pytest.raises(ValueError):
         sim.simulate_ctmc(chain, 1, 10.0, seed=1)
+
+
+_UNREACHABLE_HORIZON = """
+import sys
+from lattice_markov import ChainSpec, build_an_markov, simulate_ctmc
+q = build_an_markov(ChainSpec(1, 2), "intensity")
+try:
+    simulate_ctmc(q, 2, float(sys.argv[1]), seed=1)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def _run_child(args):
+    """Run python with args in a child process, so that a sampler that never
+    reaches its horizon fails the test by timeout instead of hanging the suite."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=60, env=env)
+
+
+@pytest.mark.parametrize("t_max", ["nan", "inf"])
+def test_ctmc_rejects_horizon_that_is_never_reached(t_max):
+    library = _run_child(["-c", _UNREACHABLE_HORIZON, t_max])
+    assert library.returncode == 0 and library.stdout == "t_max must be finite and positive\n"
+    command = _run_child(["-m", "lattice_markov.cli", "simulate", "an", "--n", "1", "--L", "2",
+                          "--kind", "Q", "--init", "2", "--tmax", t_max])
+    assert command.returncode == 2
+    assert command.stderr == "error: t_max must be finite and positive\n"
 
 
 def test_ladder_ctmc_runs():

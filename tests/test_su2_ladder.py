@@ -187,6 +187,14 @@ def test_su2_invariance_of_table_operators():
     assert lad.su2_invariance_residual(lad.h_prime(1.0, 1.0, 1.0)) < 1e-7
 
 
+def test_su2_invariance_residual_equals_per_generator_loop():
+    m = np.random.default_rng(16).normal(size=(16, 16))
+    op = m + m.T
+    expected = max(frobenius_norm(commutator(op, g)) for g in lad.total_spin_generators(4))
+    assert expected > 1.0
+    assert lad.su2_invariance_residual(op) == expected
+
+
 def test_transformed_density_invariance_under_conjugated_generators():
     bb = kron(lad.basis_change(), lad.basis_change())
     bb_inv = np.linalg.inv(bb)
