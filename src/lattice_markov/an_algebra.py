@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _one_site_sum, as_matrix, embed_two_site, frobenius_norm, kron
+from .linalg import as_matrix, embed_two_site, embedded_sum, frobenius_norm, kron
 
 
 @dataclass(frozen=True)
@@ -131,20 +131,15 @@ def index_classes(n: int) -> tuple[list[int], list[int], list[int]]:
     return diag, upper, lower
 
 
-def index_pairs(n: int) -> list[tuple[int, int]]:
-    return [(j * (n + 2) + k + 2, (j + 1) * (n + 2) + k * (n + 1))
-            for j in range(n) for k in range(n - j)]
-
-
 def delta_casimir_indexed(n: int) -> np.ndarray:
     """Two-site coproduct Casimir from the closed Kronecker-delta formula."""
     d = n + 1
     m = d * d
     out = -np.eye(m)
-    diag, _, _ = index_classes(n)
+    diag, upper, lower = index_classes(n)
     for idx in diag:
         out[idx - 1, idx - 1] += n + 1
-    for a, b in index_pairs(n):
+    for a, b in zip(upper, lower):
         out[a - 1, b - 1] += n + 1
         out[b - 1, a - 1] += n + 1
     return out
@@ -165,7 +160,7 @@ def index_partition_check(n: int) -> bool:
 def coproduct(op: np.ndarray) -> np.ndarray:
     """Two-site coproduct x (x) 1 + 1 (x) x."""
     op = as_matrix(op)
-    return _one_site_sum(op, 2, len(op))
+    return embedded_sum(op, 2, len(op))
 
 
 def casimir_quadratic_residual(n: int) -> float:

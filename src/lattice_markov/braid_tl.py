@@ -17,21 +17,20 @@ from .linalg import as_matrix, embed_two_site, frobenius_norm
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 
 
-def _local_dim(h: np.ndarray, local_dim: int | None) -> int:
+def _local_dim(h: np.ndarray) -> int:
     m = h.shape[0]
-    if local_dim is None:
-        local_dim = round(math.isqrt(m))
+    local_dim = math.isqrt(m)
     if local_dim * local_dim != m:
         raise ValueError(f"operator size {m} is not a perfect square of the local dimension")
     return local_dim
 
 
-def qybe_residual(h, local_dim: int | None = None) -> float:
+def qybe_residual(h) -> float:
     """Frobenius residual of the braid identity for a two-site operator."""
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise ValueError("two-site operator must be square")
-    d = _local_dim(h, local_dim)
+    d = _local_dim(h)
     h12, h23 = (embed_two_site(h, i, 3, d) for i in (1, 2))
     return frobenius_norm(h12 @ h23 @ h12 - h23 @ h12 @ h23)
 
@@ -58,7 +57,7 @@ def spectral_qybe_residual(h, x: float, y: float, shift: float = 16.0) -> float:
     16 pairs with the ladder operator returned by su2_ladder.h_ladder().
     """
     h = as_matrix(h)
-    d = _local_dim(h, None)
+    d = _local_dim(h)
     h12, h23 = (embed_two_site(h, i, 3, d) for i in (1, 2))
     s = shift * np.eye(d ** 3)
     lhs = ((x - 1.0) * h12 + s) @ ((x * y - 1.0) * h23 + s) @ ((y - 1.0) * h12 + s)

@@ -14,8 +14,7 @@ import numpy as np
 
 from .an_algebra import delta_casimir, fundamental_rep
 from .braid_tl import tl_from_an
-from .linalg import DENSE_SIZE_GUARD  # noqa: F401  re-exported
-from .linalg import (_one_site_sum, as_matrix, check_dense_size, embedded_sum, frobenius_norm,
+from .linalg import (as_matrix, check_dense_size, embedded_sum, frobenius_norm,
                      invariance_residual, symmetric_eigenvalues)
 from .reporting import DEFAULT_TOL, Tolerance
 
@@ -74,8 +73,7 @@ def hamiltonian(spec: ChainSpec) -> LatticeHamiltonian:
 
 def global_generators(spec: ChainSpec) -> list[np.ndarray]:
     """Single-site sums of every algebra generator over all L sites."""
-    spec.guard_dense()
-    return [_one_site_sum(g, spec.L, spec.local_dim)
+    return [embedded_sum(g, spec.L, spec.local_dim)
             for g in fundamental_rep(spec.n).all_generators()]
 
 

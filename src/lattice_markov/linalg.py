@@ -6,8 +6,10 @@ functions; inputs are never mutated.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -36,15 +38,6 @@ def check_dense_size(dim: int) -> None:
         raise ValueError(f"state space {dim} exceeds dense guard {DENSE_SIZE_GUARD}")
 
 
-def _two_site_operator(op, i: int, L: int, d: int) -> np.ndarray:
-    op = as_matrix(op)
-    if op.shape != (d * d, d * d):
-        raise ValueError(f"two-site operator must be {d * d}x{d * d}, got {op.shape}")
-    if not 1 <= i <= L - 1:
-        raise ValueError(f"site index i={i} out of range 1..{L - 1}")
-    return op
-
-
 def embed_two_site(op, i: int, L: int, d: int) -> np.ndarray:
     """Pad a two-site operator to sites (i, i+1) of an L-site chain.
 
@@ -52,7 +45,11 @@ def embed_two_site(op, i: int, L: int, d: int) -> np.ndarray:
     1^(i-1) (x) op (x) 1^(L-i-1) on the d^L-dimensional space. Site
     indices are 1-based, i in 1..L-1.
     """
-    op = _two_site_operator(op, i, L, d)
+    op = as_matrix(op)
+    if op.shape != (d * d, d * d):
+        raise ValueError(f"two-site operator must be {d * d}x{d * d}, got {op.shape}")
+    if not 1 <= i <= L - 1:
+        raise ValueError(f"site index i={i} out of range 1..{L - 1}")
     left = np.eye(d ** (i - 1))
     right = np.eye(d ** (L - i - 1))
     return np.kron(np.kron(left, op), right)
@@ -71,21 +68,17 @@ def _add_on_sites(total: np.ndarray, op: np.ndarray, i: int, L: int, d: int) -> 
     blocks += op
 
 
-def add_embedded(total: np.ndarray, op, i: int, L: int, d: int) -> np.ndarray:
-    """Add embed_two_site(op, i, L, d) into total in place and return total."""
-    op = _two_site_operator(op, i, L, d)
-    if total.shape != (d ** L, d ** L) or not total.flags.c_contiguous:
-        raise ValueError(f"total must be a C-contiguous {d ** L}x{d ** L} matrix")
-    _add_on_sites(total, op, i, L, d)
-    return total
-
-
 def embedded_sum(op, L: int, d: int) -> np.ndarray:
-    """Open-chain sum of op embedded on every bond (i, i+1), i = 1..L-1."""
+    """Open-chain sum of op: a d x d op on every site i = 1..L, or a
+    d^2 x d^2 op on every bond (i, i+1), i = 1..L-1. Equal entry for entry
+    to the sum of embed_one_site or embed_two_site terms."""
     check_dense_size(d ** L)
+    op = as_matrix(op)
+    if op.shape not in ((d, d), (d * d, d * d)):
+        raise ValueError(f"operator must be {d}x{d} or {d * d}x{d * d}, got {op.shape}")
     total = np.zeros((d ** L, d ** L))
-    for i in range(1, L):
-        add_embedded(total, op, i, L, d)
+    for i in range(1, L + 1 if len(op) == d else L):  # sites, or bonds
+        _add_on_sites(total, op, i, L, d)
     return total
 
 
@@ -97,14 +90,6 @@ def embed_one_site(op, i: int, L: int, d: int) -> np.ndarray:
     if not 1 <= i <= L:
         raise ValueError(f"site index i={i} out of range 1..{L}")
     return np.kron(np.kron(np.eye(d ** (i - 1)), op), np.eye(d ** (L - i)))
-
-
-def _one_site_sum(op, L: int, d: int) -> np.ndarray:
-    """Sum of embed_one_site(op, i, L, d) over i = 1..L, added in place."""
-    total = np.zeros((d ** L, d ** L))
-    for i in range(1, L + 1):
-        _add_on_sites(total, op, i, L, d)
-    return total
 
 
 def _off_diagonal(m: np.ndarray) -> np.ndarray:
@@ -166,22 +151,60 @@ def symmetric_eigensystem(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, 
     return np.linalg.eigh(_symmetrised([as_matrix(a)], tol)[0])
 
 
+def _strongly_connected_components(n: int, targets: np.ndarray,
+                                   sources: np.ndarray) -> list[list[int]]:
+    """Tarjan's algorithm, iterative, on n nodes with an edge from each targets[k]
+    to sources[k]; targets must be sorted. Returns components as lists of 0-based
+    nodes."""
+    bounds = np.searchsorted(targets, np.arange(n + 1)).tolist()
+    flat = sources.tolist()
+    adjacency = [flat[bounds[i]:bounds[i + 1]] for i in range(n)]
+    index = [-1] * n  # set to n once a node's component is complete
+    low = [0] * n
+    stack: list[int] = []
+    # the depth-first path: each node with its unread edges and its place on the stack
+    work: list[tuple[int, Iterator[int], int]] = []
+    components: list[list[int]] = []
+    counter = itertools.count()
+
+    def enter(node: int) -> None:
+        index[node] = low[node] = next(counter)
+        work.append((node, iter(adjacency[node]), len(stack)))
+        stack.append(node)
+
+    for root in range(n):
+        if index[root] == -1:
+            enter(root)
+        while work:
+            node, edges, place = work[-1]
+            for nxt in edges:  # resumes after the child that was last entered
+                if index[nxt] == -1:
+                    enter(nxt)
+                    break
+                if index[nxt] < low[node]:  # nxt is on the stack: completed ones hold n
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    components.append(stack[place:])
+                    del stack[place:]
+                    for w in components[-1]:
+                        index[w] = n
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+    return components
+
+
 def _blocks(m: np.ndarray) -> list[np.ndarray]:
-    """0-based index arrays of the connected components of the graph with an edge
-    wherever m[i, j] or m[j, i] is non-zero, so no entry of m lies off the blocks."""
-    adj = m != 0
-    adj |= adj.T
-    free, blocks = np.ones(len(m), dtype=bool), []
-    while free.any():
-        reached = np.zeros(len(m), dtype=bool)
-        reached[free.argmax()] = True
-        frontier = reached.copy()
-        while frontier.any():
-            frontier = adj[frontier].any(axis=0) & ~reached
-            reached |= frontier
-        blocks.append(np.flatnonzero(reached))
-        free &= ~reached
-    return blocks
+    """0-based sorted index arrays of the connected components of the graph with an
+    edge wherever m[i, j] or m[j, i] is non-zero, so no entry of m lies off the
+    blocks; ordered by first member."""
+    rows, cols = np.nonzero(m != 0)  # faster than np.nonzero(m) on floats
+    targets = np.concatenate([rows, cols])
+    order = np.argsort(targets, kind="stable")
+    comps = _strongly_connected_components(len(m), targets[order],
+                                           np.concatenate([cols, rows])[order])
+    return sorted((np.sort(np.array(c, dtype=np.intp)) for c in comps), key=lambda b: b[0])
 
 
 def symmetric_eigenvalues(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice_an import ChainSpec, _LatticeSpec, two_site_h
-from .linalg import _off_diagonal, as_matrix, embedded_sum, intensity_exp, symmetric_eigenvalues
+from .linalg import (_off_diagonal, _strongly_connected_components, as_matrix, embedded_sum,
+                     intensity_exp, symmetric_eigenvalues)
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 from .su2_ladder import column_sum_value, h_doubleprime
 
@@ -207,71 +208,22 @@ class ChainAnalysis:
     reducible: bool
 
 
-def _strongly_connected_components(adjacency: list[list[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative. Returns components as lists of 0-based nodes."""
-    n = len(adjacency)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, ptr = work.pop()
-            if ptr == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for k in range(ptr, len(adjacency[node])):
-                nxt = adjacency[node][k]
-                if index[nxt] == -1:
-                    work.append((node, k + 1))
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return components
-
-
-def closed_sets(chain: MarkovChain, threshold: float = EDGE_THRESHOLD) -> ChainAnalysis:
+def closed_sets(chain: MarkovChain) -> ChainAnalysis:
     """Minimal closed sets of the chain: sink components of the flow graph.
 
     The directed graph has an edge j -> i whenever the (i, j) entry exceeds
-    the threshold (off the diagonal), i.e. whenever probability can flow
+    EDGE_THRESHOLD (off the diagonal), i.e. whenever probability can flow
     from j to i. Sink components of the condensation have no outgoing
     flow, so they are exactly the minimal closed sets; a proper closed set
     exists (the chain is reducible) whenever there is more than one
     component.
     """
-    edges = chain.matrix > threshold
+    edges = chain.matrix > EDGE_THRESHOLD
     np.fill_diagonal(edges, False)
     n = edges.shape[0]
     targets, sources = np.nonzero(edges)  # row i: the states that flow into i
-    bounds = np.searchsorted(targets, np.arange(n + 1)).tolist()
-    flat = sources.tolist()
     # the reversed graph has the same strongly connected components
-    comps = _strongly_connected_components([flat[bounds[i]:bounds[i + 1]] for i in range(n)])
+    comps = _strongly_connected_components(n, targets, sources)
     comp_of = np.empty(n, dtype=np.intp)
     for cid, comp in enumerate(comps):
         comp_of[comp] = cid
@@ -308,7 +260,10 @@ def stationary_distribution(chain: MarkovChain, closed_set,
     """
     if chain.kind != "intensity":
         raise ValueError("stationary distributions are computed for intensity matrices")
-    members = sorted(int(s) for s in closed_set)
+    members = sorted(closed_set)
+    if not all(float(s).is_integer() for s in members):  # NaN and inf are refused too
+        raise ValueError("closed set members must be whole state numbers")
+    members = [int(s) for s in members]
     if not members:
         raise ValueError("closed set is empty")
     if members[0] < 1 or members[-1] > chain.num_states or len(set(members)) < len(members):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -13,6 +14,8 @@ class Tolerance:
     rel_tol: float = 1e-9
 
     def __post_init__(self) -> None:
+        if math.isinf(self.abs_tol) or math.isinf(self.rel_tol):
+            raise ValueError("tolerances must be finite")
         if not (self.abs_tol >= 0 and self.rel_tol >= 0):  # NaN is refused too
             raise ValueError("tolerances must be non-negative")
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import _one_site_sum, embedded_sum, frobenius_norm, invariance_residual, kron
+from .linalg import embedded_sum, frobenius_norm, invariance_residual, kron
 from .braid_tl import TLElement
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 
@@ -299,7 +299,7 @@ def tl_from_ladder() -> TLElement:
 
 def total_spin_generators(sites: int) -> list[np.ndarray]:
     """Sums of each (real-encoded) spin generator over all sites."""
-    return [_one_site_sum(g, sites, 2) for g in spin_generators()]
+    return [embedded_sum(g, sites, 2) for g in spin_generators()]
 
 
 def su2_invariance_residual(op, sites: int = 4) -> float:

@@ -54,6 +54,16 @@ def test_verify_nan_tolerance_exits_two(target, capsys):
     assert err == "error: tolerances must be non-negative\n"
 
 
+@pytest.mark.parametrize("target", ["an", "ladder"])
+@pytest.mark.parametrize("tol", ["inf", "-inf"])
+def test_verify_infinite_tolerance_exits_two(target, tol, capsys):
+    args = ["verify", target, f"--tol={tol}"] + (["--a", "0", "--b", "0", "--c", "0"]
+                                                 if target == "ladder" else ["--n", "2"])
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err == "error: tolerances must be finite\n"
+
+
 def test_bad_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["verify", "nonsense"])

@@ -8,7 +8,8 @@ from lattice_markov import linalg
 from lattice_markov import su2_ladder as lad
 from lattice_markov.an_algebra import delta_casimir
 from lattice_markov.lattice_an import hamiltonian, two_site_h
-from lattice_markov.markov import ChainSpec, LadderParams, build_an_markov, build_ladder_markov
+from lattice_markov.markov import (ChainSpec, LadderParams, build_an_markov, build_ladder_markov,
+                                   closed_sets)
 from lattice_markov.reporting import Tolerance
 
 SWAP4 = np.array([[1, 0, 0, 0],
@@ -87,13 +88,7 @@ def _kron_sum(op, L, d):
 
 @pytest.mark.parametrize("d,L", [(2, 2), (2, 5), (3, 3), (3, 4), (4, 2), (4, 3)])
 def test_add_embedded_equals_kron_route(d, L):
-    rng = np.random.default_rng(100 * d + L)
-    op = rng.normal(size=(d * d, d * d))
-    for i in range(1, L):
-        total = rng.normal(size=(d ** L, d ** L))
-        expected = total + linalg.embed_two_site(op, i, L, d)
-        assert linalg.add_embedded(total, op, i, L, d) is total
-        assert np.array_equal(total, expected)
+    op = np.random.default_rng(100 * d + L).normal(size=(d * d, d * d))
     assert np.array_equal(linalg.embedded_sum(op, L, d), _kron_sum(op, L, d))
 
 
@@ -114,21 +109,16 @@ def test_one_site_sum_equals_kron_route(d, L):
     expected = np.zeros((d ** L, d ** L))
     for i in range(1, L + 1):
         expected += linalg.embed_one_site(op, i, L, d)
-    assert np.array_equal(linalg._one_site_sum(op, L, d), expected)
+    assert np.array_equal(linalg.embedded_sum(op, L, d), expected)
 
 
-def test_add_embedded_errors():
-    total = np.zeros((8, 8))
-    with pytest.raises(ValueError):
-        linalg.add_embedded(total, np.eye(4), 3, 3, 2)
-    with pytest.raises(ValueError):
-        linalg.add_embedded(total, np.eye(3), 1, 3, 2)
-    with pytest.raises(ValueError):
-        linalg.add_embedded(np.zeros((4, 4)), np.eye(4), 1, 3, 2)
-    with pytest.raises(ValueError):  # reshaping a strided view would add into a copy
-        linalg.add_embedded(np.zeros((8, 16))[:, ::2], np.eye(4), 1, 3, 2)
-    with pytest.raises(ValueError, match="exceeds dense guard 4096"):
-        linalg.embedded_sum(np.eye(4), 13, 2)
+def test_embedded_sum_errors():
+    for op in (np.eye(3), np.eye(8), np.ones((2, 4)), np.ones(4)):
+        with pytest.raises(ValueError, match="operator must be 2x2 or 4x4|2-D matrix"):
+            linalg.embedded_sum(op, 3, 2)
+    for op in (np.eye(2), np.eye(4)):  # one-site and two-site sums share the guard
+        with pytest.raises(ValueError, match="exceeds dense guard 4096"):
+            linalg.embedded_sum(op, 13, 2)
 
 
 @pytest.mark.parametrize("n,L", [(1, 6), (2, 4), (3, 3)])
@@ -357,6 +347,35 @@ def test_blocks_need_not_be_contiguous():
     assert np.max(np.abs(linalg.symmetric_eigenvalues(h) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("kind", ["transition", "intensity"])
+@pytest.mark.parametrize("family,args", [("an", (1, 4)), ("an", (2, 3)), ("an", (3, 3)),
+                                         ("ladder", ((16.0, 0.0, 0.0), 2)),
+                                         ("ladder", ((16.0, 0.0, 0.0), 3)),
+                                         ("ladder", ((18.0, 1.0, 0.0), 2)),
+                                         ("ladder", ((18.0, 1.0, 0.0), 3))])
+def test_closed_sets_of_a_symmetric_chain_are_its_blocks(family, args, kind):
+    if family == "an":
+        chain = build_an_markov(ChainSpec(*args), kind)
+    else:
+        chain = build_ladder_markov(LadderParams(*args[0]), args[1], kind)
+    # every component of a symmetric chain is closed
+    assert np.array_equal(chain.matrix, chain.matrix.T)
+    assert closed_sets(chain).closed_sets == [(b + 1).tolist() for b in linalg._blocks(chain.matrix)]
+
+
+def test_strongly_connected_components_match_mutual_reachability():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(0, 20))
+        adj = rng.random((n, n)) < rng.uniform(0.0, 0.3)
+        reach = adj | np.eye(n, dtype=bool)  # oracle: transitive closure by squaring
+        for _ in range(max(n, 1).bit_length()):
+            reach = (reach.astype(int) @ reach.astype(int)) > 0
+        expected = {tuple(np.flatnonzero(row)) for row in reach & reach.T}
+        comps = linalg._strongly_connected_components(n, *np.nonzero(adj))
+        assert sorted(tuple(sorted(c)) for c in comps) == sorted(expected)
+
+
 def test_one_way_rates_join_their_states():
     # 1 -> 2 -> 3 at rates 1 and 2, 4 <-> 5: no rate leads back to state 1
     q = np.zeros((5, 5))
@@ -448,6 +467,13 @@ def test_tolerance_validation():
 def test_tolerance_rejects_nan(field):
     with pytest.raises(ValueError, match="non-negative"):
         Tolerance(**{field: math.nan})
+
+
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_tolerance_rejects_infinity(field, value):
+    with pytest.raises(ValueError, match="tolerances must be finite"):
+        Tolerance(**{field: value})
 
 
 def test_load_matrix_json_rejects_non_finite_entries(tmp_path):

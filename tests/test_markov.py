@@ -239,6 +239,20 @@ def test_stationary_rejects_degenerate_null_space():
         mk.stationary_distribution(q, [1, 2, 3, 5])
 
 
+@pytest.mark.parametrize("members", [[2.9, 3.5, 5.2], [2, 3, 5.5], [2, 3, float("nan")]])
+def test_stationary_rejects_fractional_members(members):
+    q = mk.build_an_markov(ChainSpec(1, 3), "intensity")
+    with pytest.raises(ValueError, match="whole state numbers"):
+        mk.stationary_distribution(q, members)
+
+
+def test_stationary_accepts_whole_members_of_any_type():
+    q = mk.build_an_markov(ChainSpec(1, 3), "intensity")
+    ref = mk.stationary_distribution(q, [2, 3, 5])
+    for members in ([2.0, 3.0, 5.0], [np.int64(2), np.int64(3), np.int64(5)], (5, 3.0, 2)):
+        assert np.array_equal(mk.stationary_distribution(q, members), ref)
+
+
 @pytest.mark.parametrize("members", [[0], [9], [8, 8], [2, 3, 5, 5]])
 def test_stationary_rejects_members_outside_or_repeated(members):
     q = mk.build_an_markov(ChainSpec(1, 3), "intensity")
