@@ -212,7 +212,8 @@ def symmetric_eigenvalues(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     `np.linalg.eigvalsh` on each connected block of its support (`_blocks`);
     no eigenvectors are computed. Symmetry is tested as in `is_symmetric`."""
     a = as_matrix(a)
-    blocks = _symmetrised([a[np.ix_(b, b)] for b in _blocks(a)], tol)
+    index = _blocks(a)  # a matrix that is one block is used as it is, not copied
+    blocks = _symmetrised([a] if len(index) == 1 else [a[np.ix_(b, b)] for b in index], tol)
     parts = [np.linalg.eigvalsh(s) for s in blocks]
     return np.sort(np.concatenate([np.empty(0)] + parts))  # [] for a 0 x 0 matrix
 
@@ -239,36 +240,42 @@ def intensity_exp(q, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     colsums = q.sum(axis=0)
     if np.max(np.abs(colsums)) > max(tol.abs_tol, tol.rel_tol * max(1.0, float(np.abs(q).max()))):
         raise ValueError("intensity matrix columns do not sum to zero")
+    blocks = _blocks(q)
+    if len(blocks) == 1:  # no copy in or out of a matrix that is one block
+        return _uniformized(q, t, tol)
     result = np.zeros((n, n))
-    for b in _blocks(q):
-        block = q[np.ix_(b, b)]
-        lam = float(np.max(np.abs(np.diag(block))))
-        if lam == 0.0 or t == 0.0:
-            result[b, b] = 1.0
-            continue
-        mu, squarings = lam * t, 0
-        while mu > 500.0:  # halve the horizon to keep exp(-mu) above underflow
-            mu, squarings = mu / 2.0, squarings + 1
-        # clip roundoff-negative entries only
-        kernel = np.clip(np.eye(len(b)) + block / lam, 0.0, None)
-        weight = math.exp(-mu)  # k = 0 term
-        series = weight * np.eye(len(b))
-        power = np.eye(len(b))
-        accumulated, k = weight, 0
-        max_terms = int(mu + 12.0 * math.sqrt(mu) + 60.0)
-        while 1.0 - accumulated > tol.abs_tol and k < max_terms:
-            k += 1
-            power = kernel @ power
-            weight *= mu / k
-            series += weight * power
-            accumulated += weight
-        if 1.0 - accumulated > tol.abs_tol:
-            raise ValueError(f"uniformization truncated after {k} terms with Poisson mass "
-                             f"{1.0 - accumulated:.3e} unaccounted (tolerance {tol.abs_tol})")
-        for _ in range(squarings):  # e^(2Qs) = (e^(Qs))^2 keeps entries non-negative
-            series = series @ series
-        result[np.ix_(b, b)] = series
+    for b in blocks:
+        result[np.ix_(b, b)] = _uniformized(q[np.ix_(b, b)], t, tol)
     return result
+
+
+def _uniformized(block: np.ndarray, t: float, tol: Tolerance) -> np.ndarray:
+    """e^(Q t) of one connected block of an intensity matrix, at the block's own rate."""
+    lam = float(np.max(np.abs(np.diag(block))))
+    if lam == 0.0 or t == 0.0:
+        return np.eye(len(block))
+    mu, squarings = lam * t, 0
+    while mu > 500.0:  # halve the horizon to keep exp(-mu) above underflow
+        mu, squarings = mu / 2.0, squarings + 1
+    # clip roundoff-negative entries only
+    kernel = np.clip(np.eye(len(block)) + block / lam, 0.0, None)
+    weight = math.exp(-mu)  # k = 0 term
+    series = weight * np.eye(len(block))
+    power = np.eye(len(block))
+    accumulated, k = weight, 0
+    max_terms = int(mu + 12.0 * math.sqrt(mu) + 60.0)
+    while 1.0 - accumulated > tol.abs_tol and k < max_terms:
+        k += 1
+        power = kernel @ power
+        weight *= mu / k
+        series += weight * power
+        accumulated += weight
+    if 1.0 - accumulated > tol.abs_tol:
+        raise ValueError(f"uniformization truncated after {k} terms with Poisson mass "
+                         f"{1.0 - accumulated:.3e} unaccounted (tolerance {tol.abs_tol})")
+    for _ in range(squarings):  # e^(2Qs) = (e^(Qs))^2 keeps entries non-negative
+        series = series @ series
+    return series
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ Randomness comes from a counter-based Philox generator seeded per
 trajectory, so identical (chain, init, seed) inputs reproduce identical
 trajectories on every platform. Categorical draws use inverse-CDF lookup
 over Kahan-compensated cumulative sums built over the support of the
-state's column (its positive entries only), so a first visit costs the
-column's non-zeros and no draw can land on a zero-probability state; the
-last support entry absorbs rounding slack up to 1e-12.
+state's column (its positive entries only), so no draw can land on a
+zero-probability state; the last support entry absorbs rounding slack up
+to 1e-12. Each path reads the matrix once, in one O(dim^2) pass that
+groups its positive entries by column (`_column_supports`); after that a
+first visit costs O(support) of the state's column.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .markov import MarkovChain, closed_sets, decode, validate
 from .reporting import DEFAULT_TOL, Tolerance
 
 _CDF_SLACK = 1e-12
+_UNIFORM_CHUNK = 1024  # DTMC uniforms drawn per rng call
 
 
 @dataclass
@@ -50,14 +53,40 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _support_cdf(column: np.ndarray) -> tuple[list[int], list[float]]:
-    """States (1-based) with positive mass in a non-negative column, and the
-    Kahan-compensated CDF over them; its last entry is exactly 1."""
-    support = np.flatnonzero(column)
+def _column_supports(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positive entries of m grouped by column, from one pass over m: 0-based
+    rows (ascending within each column), their values, and pointers such that
+    column j holds rows[ptr[j]:ptr[j + 1]]."""
+    rows, cols = np.nonzero(m > 0)  # the dim^2 bool mask is freed on return
+    values = m[rows, cols]  # gathered in C order, then sorted with the rows
+    order = np.argsort(cols, kind="stable")
+    return rows[order], values[order], np.searchsorted(cols[order], np.arange(len(m) + 1))
+
+
+def _column(supports, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based rows and values of the positive entries of column j (0-based)."""
+    rows, values, ptr = supports
+    return rows[ptr[j]:ptr[j + 1]], values[ptr[j]:ptr[j + 1]]
+
+
+def _jumps(supports, j: int, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Jump targets (0-based) and probabilities out of state j of an intensity
+    matrix with exit rate `rate`: the positive off-diagonal entries of column j
+    divided by rate, except those whose quotient underflows to zero."""
+    rows, values = _column(supports, j)
+    off = rows != j
+    jump = values[off] / rate
+    kept = jump != 0.0
+    return rows[off][kept], jump[kept]
+
+
+def _support_cdf(support: np.ndarray, values: np.ndarray) -> tuple[list[int], list[float]]:
+    """States (1-based) of a jump law's support, from `_column` or `_jumps`, and the
+    Kahan-compensated CDF of its positive probabilities; its last entry is exactly 1."""
     total = 0.0
     comp = 0.0
     cdf = []
-    for p in column[support].tolist():
+    for p in values.tolist():
         y = p - comp
         t = total + y
         comp = (t - total) - y
@@ -73,6 +102,19 @@ def _draw(rng: np.random.Generator, states: list[int], cdf: list[float]) -> int:
     return states[bisect.bisect_right(cdf, rng.random())]
 
 
+def _whole_number(value, what: str) -> int:
+    if not float(value).is_integer():  # NaN and inf are refused too
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _initial_state(chain: MarkovChain, init) -> int:
+    init = _whole_number(init, "initial state")
+    if not 1 <= init <= chain.num_states:
+        raise ValueError(f"initial state {init} out of range")
+    return init
+
+
 def simulate_dtmc(chain: MarkovChain, init: int, steps: int, seed: int) -> Trajectory:
     """Sample a discrete-time path of the given length from a transition matrix."""
     if chain.kind != "transition":
@@ -80,19 +122,24 @@ def simulate_dtmc(chain: MarkovChain, init: int, steps: int, seed: int) -> Traje
     report = validate(chain)
     if not report.passed:
         raise ValueError(f"invalid transition matrix: {report.residuals}")
-    if not 1 <= init <= chain.num_states:
-        raise ValueError(f"initial state {init} out of range")
+    init = _initial_state(chain, init)
+    steps = _whole_number(steps, "steps")
     if steps < 0:
         raise ValueError("steps must be non-negative")
+    supports = _column_supports(chain.matrix)
     rng = _rng(seed)
     cdf_cache: dict[int, tuple[list[int], list[float]]] = {}
     states = [init]
     current = init
-    for _ in range(steps):
-        if current not in cdf_cache:
-            cdf_cache[current] = _support_cdf(np.clip(chain.matrix[:, current - 1], 0.0, None))
-        current = _draw(rng, *cdf_cache[current])
-        states.append(current)
+    # Philox gives the same doubles in a batch as one by one, so the path does not
+    # depend on the chunk; a fixed chunk bounds memory for any number of steps
+    for start in range(0, steps, _UNIFORM_CHUNK):
+        for u in rng.random(min(_UNIFORM_CHUNK, steps - start)).tolist():
+            if current not in cdf_cache:
+                cdf_cache[current] = _support_cdf(*_column(supports, current - 1))
+            targets, cdf = cdf_cache[current]
+            current = targets[bisect.bisect_right(cdf, u)]
+            states.append(current)
     return Trajectory(kind="dtmc", states=states, times=None, t_max=None,
                       num_states=chain.num_states, init=init, seed=seed)
 
@@ -110,10 +157,10 @@ def simulate_ctmc(chain: MarkovChain, init: int, t_max: float, seed: int,
     report = validate(chain)
     if not report.passed:
         raise ValueError(f"invalid intensity matrix: {report.residuals}")
-    if not 1 <= init <= chain.num_states:
-        raise ValueError(f"initial state {init} out of range")
+    init = _initial_state(chain, init)
     if not 0 < t_max < math.inf:  # a NaN or infinite horizon is never reached
         raise ValueError("t_max must be finite and positive")
+    supports = _column_supports(chain.matrix)
     rng = _rng(seed)
     states = [init]
     times = [0.0]
@@ -126,9 +173,7 @@ def simulate_ctmc(chain: MarkovChain, init: int, t_max: float, seed: int,
             if rate <= tol.abs_tol:
                 cdf_cache[current] = (0.0, [], [])
             else:
-                column = np.clip(chain.matrix[:, current - 1], 0.0, None)
-                column[current - 1] = 0.0
-                cdf_cache[current] = (rate, *_support_cdf(column / rate))
+                cdf_cache[current] = (rate, *_support_cdf(*_jumps(supports, current - 1, rate)))
         rate, targets, cdf = cdf_cache[current]
         if rate == 0.0:
             break  # absorbing: holds forever

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -436,6 +437,25 @@ def test_intensity_exp_squares_only_the_fast_block():
     assert np.max(np.abs(got - scipy.linalg.expm(q * t))) <= 1e-9
     assert np.array_equal(got[:3, 3:], np.zeros((3, 2))) and got.min() >= 0.0
     assert got[2, 2] > 0.9  # the slow mode is still far from the uniform 1/3
+
+
+def test_one_block_matrix_is_not_copied():
+    # a ladder chain is one block: its eigenvalues and semigroup need no copy of it
+    q = build_ladder_markov(LadderParams(18.0, 1.0, 0.0), 5, "intensity").matrix
+    assert len(linalg._blocks(q)) == 1
+    dense_bytes = q.nbytes  # 8 MiB at dim 1024
+    peaks = []
+    for run in (lambda: linalg.symmetric_eigenvalues(q), lambda: linalg.intensity_exp(q, 0.05)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # eigenvalues: one dim^2 temporary at a time (a copy of q would add one more);
+    # semigroup: kernel, power, series and one product (a copy in and out adds two)
+    assert peaks[0] < 1.5 * dense_bytes
+    assert peaks[1] < 4.5 * dense_bytes
 
 
 def test_matrix_serialization_roundtrip(tmp_path):

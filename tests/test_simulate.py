@@ -12,6 +12,7 @@ from lattice_markov import simulate as sim
 from lattice_markov.lattice_an import ChainSpec
 from lattice_markov.markov import (LadderParams, MarkovChain, build_an_markov,
                                    build_ladder_markov, encode)
+from lattice_markov.reporting import DEFAULT_TOL
 
 
 def test_dtmc_determinism():
@@ -303,12 +304,14 @@ def test_draw_never_lands_on_zero_probability_state(chain):
     cumulative sum ends at 1 - 2**-53."""
     largest_u = 1.0 - 2.0 ** -53  # largest value rng.random() returns
     m = chain.matrix
+    supports = sim._column_supports(m)
     for j in range(chain.num_states):
         column = np.clip(m[:, j], 0.0, None)
         if chain.kind == "intensity":
             column[j] = 0.0
             column /= -m[j, j]
-        states, cdf = sim._support_cdf(column)
+        states, cdf = sim._support_cdf(*(sim._column(supports, j) if chain.kind == "transition"
+                                         else sim._jumps(supports, j, -m[j, j])))
         assert cdf[-1] == 1.0
         assert column[states[-1] - 1] > 0.0
         assert column[np.asarray(states) - 1].min() > 0.0
@@ -323,3 +326,148 @@ def test_ctmc_rejects_path_that_cannot_advance():
                     matrix=np.array([[-1e-3, 1e20], [1e-3, -1e20]]))
     with pytest.raises(ValueError, match="cannot advance"):
         sim.simulate_ctmc(q, 1, 1e9, seed=0)
+
+
+def _absorbing_q():
+    # state 1 has no exit; 2 and 3 leak into it
+    return np.array([[0.0, 1.0, 0.5], [0.0, -2.0, 0.5], [0.0, 1.0, -1.0]])
+
+
+def _underflow_q():
+    # q_21 = 5e-324 is positive, but q_21 / rate = 5e-324 / 2 rounds to zero
+    q = np.array([[0.0, 5e-324, 1.0], [5e-324, 0.0, 1.0], [2.0, 1.0, -2.0]])
+    q[0, 0], q[1, 1] = -(5e-324 + 2.0), -(5e-324 + 1.0)
+    return q
+
+
+_KINDS = {"P": "transition", "Q": "intensity"}
+_STRUCTURE_CHAINS = (
+    [pytest.param(build_an_markov(ChainSpec(n, L), kind), id=f"an_{n}_{L}_{name}")
+     for n, L in ((1, 3), (1, 6), (2, 4), (3, 3)) for name, kind in _KINDS.items()]
+    + [pytest.param(build_ladder_markov(LadderParams(a, b, c), L, kind),
+                    id=f"ladder_{L}_{a:g}_{b:g}_{c:g}_{name}")
+       for L in (2, 3, 4) for a, b, c in ((16.0, 0.0, 0.0), (18.0, 1.0, 0.0), (17.5, 0.25, 2.0))
+       for name, kind in _KINDS.items()]
+    + [pytest.param(MarkovChain(kind="intensity", spec=None, matrix=_absorbing_q()),
+                    id="absorbing_Q"),
+       pytest.param(MarkovChain(kind="intensity", spec=None, matrix=_underflow_q()),
+                    id="underflow_Q")])
+
+
+def _dense_law(chain, j):
+    """The dense route: column j clipped at zero and, for an intensity matrix, its
+    diagonal zeroed and the column divided by the exit rate; its support and values."""
+    column = np.clip(chain.matrix[:, j], 0.0, None)
+    if chain.kind == "intensity":
+        column[j] = 0.0
+        column = column / -chain.matrix[j, j]
+    support = np.flatnonzero(column)
+    return support, column[support]
+
+
+@pytest.mark.parametrize("chain", _STRUCTURE_CHAINS)
+def test_column_supports_equal_the_dense_columns(chain):
+    m = chain.matrix
+    supports = sim._column_supports(m)
+    for j in range(chain.num_states):
+        rows, values = sim._column(supports, j)
+        dense = np.flatnonzero(np.clip(m[:, j], 0.0, None))
+        assert np.array_equal(rows, dense) and values.tobytes() == m[dense, j].tobytes()
+        if chain.kind == "intensity" and -m[j, j] > DEFAULT_TOL.abs_tol:  # else absorbing
+            got, want = sim._jumps(supports, j, -m[j, j]), _dense_law(chain, j)
+            assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
+    # the subnormal entry is in state 1's column but not among its jumps
+    if m[1, 0] == 5e-324:
+        assert sim._column(supports, 0)[0].tolist() == [1, 2]
+        assert sim._jumps(supports, 0, 2.0)[0].tolist() == [2]
+
+
+def _dense_route_path(chain, init, horizon, seed):
+    """The samplers with a dense column gather per first visit and one scalar
+    uniform per DTMC step, as the reference for the paths the samplers draw."""
+    rng = sim._rng(seed)
+    m = chain.matrix
+    states, times, t, current, cache = [init], [0.0], 0.0, init, {}
+    for _ in range(horizon if chain.kind == "transition" else 10 ** 9):
+        if current not in cache:  # a transition matrix takes rate 1, which is never absorbing
+            rate = 1.0 if chain.kind == "transition" else -float(m[current - 1, current - 1])
+            cache[current] = ((0.0, [], []) if rate <= DEFAULT_TOL.abs_tol
+                              else (rate, *sim._support_cdf(*_dense_law(chain, current - 1))))
+        rate, targets, cdf = cache[current]
+        if chain.kind == "intensity":
+            if rate == 0.0:
+                break
+            t += rng.exponential(1.0 / rate)
+            if t >= horizon:
+                break
+            times.append(t)
+        current = sim._draw(rng, targets, cdf)
+        states.append(current)
+    return states, times if chain.kind == "intensity" else None
+
+
+@pytest.mark.parametrize("chain,init,horizon,seed", [
+    (build_an_markov(ChainSpec(1, 4), "transition"), 8, sim._UNIFORM_CHUNK + 500, 3),
+    (build_ladder_markov(LadderParams(18.0, 1.0, 0.0), 3, "transition"), 40, 3000, 11),
+    (build_an_markov(ChainSpec(2, 4), "intensity"), 30, 40.0, 5),
+    (build_ladder_markov(LadderParams(17.5, 0.25, 2.0), 4, "intensity"), 200, 2.0, 7),
+    (MarkovChain(kind="intensity", spec=None, matrix=_absorbing_q()), 3, 50.0, 1),
+    (MarkovChain(kind="intensity", spec=None, matrix=_underflow_q()), 1, 20.0, 2),
+], ids=["an_1_4_P", "ladder_3_P", "an_2_4_Q", "ladder_4_Q", "absorbing_Q", "underflow_Q"])
+def test_paths_equal_the_dense_route(chain, init, horizon, seed):
+    if chain.kind == "transition":
+        traj = sim.simulate_dtmc(chain, init, horizon, seed)
+    else:
+        traj = sim.simulate_ctmc(chain, init, horizon, seed)
+    assert (traj.states, traj.times) == _dense_route_path(chain, init, horizon, seed)
+
+
+def test_dtmc_draws_uniforms_in_chunks(monkeypatch):
+    calls = []
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = np.random.Generator(np.random.Philox(seed))
+
+        def random(self, size=None):
+            calls.append(size)
+            return self.rng.random(size)
+
+    monkeypatch.setattr(sim, "_rng", CountingRng)
+    chain = build_an_markov(ChainSpec(1, 4), "transition")
+    steps = 2 * sim._UNIFORM_CHUNK + 7
+    traj = sim.simulate_dtmc(chain, 8, steps, seed=3)
+    assert len(traj.states) == steps + 1
+    assert calls == [sim._UNIFORM_CHUNK, sim._UNIFORM_CHUNK, 7]
+
+
+@pytest.mark.parametrize("init", [2.0, np.int64(2), np.float64(2.0)],
+                         ids=["float", "np_int64", "np_float64"])
+def test_samplers_take_a_whole_number_initial_state(init):
+    p = build_an_markov(ChainSpec(1, 3), "transition")
+    q = build_an_markov(ChainSpec(1, 3), "intensity")
+    for run in (lambda s: sim.simulate_dtmc(p, s, 50, seed=4),
+                lambda s: sim.simulate_ctmc(q, s, 20.0, seed=4)):
+        traj = run(init)
+        assert type(traj.init) is int and type(traj.states[0]) is int
+        assert traj == run(2)
+
+
+@pytest.mark.parametrize("init", [2.5, float("nan"), float("inf")])
+def test_samplers_refuse_a_fractional_initial_state(init):
+    p = build_an_markov(ChainSpec(1, 3), "transition")
+    q = build_an_markov(ChainSpec(1, 3), "intensity")
+    with pytest.raises(ValueError, match="initial state must be a whole number"):
+        sim.simulate_dtmc(p, init, 10, seed=1)
+    with pytest.raises(ValueError, match="initial state must be a whole number"):
+        sim.simulate_ctmc(q, init, 10.0, seed=1)
+
+
+def test_dtmc_steps_must_be_a_whole_number():
+    p = build_an_markov(ChainSpec(1, 3), "transition")
+    ref = sim.simulate_dtmc(p, 2, 10, seed=1)
+    assert sim.simulate_dtmc(p, 2, 10.0, seed=1) == ref
+    assert sim.simulate_dtmc(p, 2, np.int64(10), seed=1) == ref
+    for bad in (2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="steps must be a whole number"):
+            sim.simulate_dtmc(p, 2, bad, seed=1)
