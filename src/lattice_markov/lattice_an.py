@@ -14,8 +14,8 @@ import numpy as np
 
 from .an_algebra import delta_casimir, fundamental_rep
 from .braid_tl import tl_from_an
-from .linalg import (as_matrix, check_dense_size, embedded_sum, frobenius_norm,
-                     invariance_residual, symmetric_eigenvalues)
+from .linalg import (as_matrix, check_dense_size, commutator_norm, embedded_entries,
+                     embedded_sum, frobenius_norm, nonzero_entries, symmetric_eigenvalues)
 from .reporting import DEFAULT_TOL, Tolerance
 
 
@@ -78,8 +78,16 @@ def global_generators(spec: ChainSpec) -> list[np.ndarray]:
 
 
 def symmetry_residual(h: LatticeHamiltonian) -> float:
-    """Largest commutator norm of the Hamiltonian with a global generator."""
-    return invariance_residual(h.matrix, global_generators(h.spec))
+    """Largest commutator norm of the Hamiltonian with a global generator.
+
+    Each commutator is computed from entries: the Hamiltonian's from one pass
+    over h.matrix, each generator's from its one-site kernel, one at a time,
+    so no dense generator or dense product is built.
+    """
+    spec = h.spec
+    ham = nonzero_entries(h.matrix)
+    return max(commutator_norm(ham, embedded_entries(g, spec.L, spec.local_dim))
+               for g in fundamental_rep(spec.n).all_generators())
 
 
 def chain_spectrum(h, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

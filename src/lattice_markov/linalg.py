@@ -1,7 +1,10 @@
-"""Dense real linear algebra used by every model in the package.
+"""Real linear algebra used by every model in the package.
 
-Matrices are plain 2-D float64 numpy arrays. All routines are pure
-functions; inputs are never mutated.
+Matrices are plain 2-D float64 numpy arrays. A lattice operator, a sum of
+one small kernel over every site or bond, is also held as its sorted
+non-zero entries (`Entries`), built from the kernel; its dense matrix is a
+scatter of them. All public routines are pure functions; their inputs are
+never mutated.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ import itertools
 import json
 import math
 from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +24,8 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    # in blocks of rows, so that no bool temporary the size of m is made
+    if not all(np.isfinite(m[i:i + 256]).all() for i in range(0, len(m), 256)):
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -55,17 +60,76 @@ def embed_two_site(op, i: int, L: int, d: int) -> np.ndarray:
     return np.kron(np.kron(left, op), right)
 
 
-def _add_on_sites(total: np.ndarray, op: np.ndarray, i: int, L: int, d: int) -> None:
-    """Add op, acting on sites i, i+1, ... of an L-site chain, into total in place.
+class Entries(NamedTuple):
+    """The entries of a dim x dim matrix outside which it is zero, sorted by column
+    and then by row, each position at most once: 0-based rows and cols, values."""
 
-    With a = d^(i-1) and k the size of op, the embedded operator is op on the
-    block diagonal of total viewed as (a, k, b, a, k, b) and exact zeros
-    elsewhere, so op is added to that strided view with no d^L x d^L temporary.
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    dim: int
+
+    def dense(self) -> np.ndarray:
+        """The matrix: the entries scattered into zeros."""
+        m = np.zeros((self.dim, self.dim))
+        m[self.rows, self.cols] = self.values
+        return m
+
+
+def nonzero_entries(m) -> Entries:
+    """The non-zero entries of a square matrix, from one pass over it."""
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    cols, rows = np.nonzero(m.T)  # m.T in C order visits m column by column
+    return Entries(rows, cols, m[rows, cols], len(m))
+
+
+def _merged(keys: np.ndarray, values: np.ndarray, dim: int) -> Entries:
+    """Entries of the sum of terms at positions keys = col * dim + row; keys and
+    values are sorted in place. Terms at one position are added in the order
+    given, from 0.0, as += would add them; sums that are exactly zero are dropped."""
+    order = np.argsort(keys, kind="stable")
+    keys[:] = keys[order]  # in place, so that no unsorted copy stays alive
+    values[:] = values[order]
+    del order
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    group = np.cumsum(first)
+    group -= 1
+    sums = np.bincount(group, weights=values)
+    del group
+    kept = sums != 0.0
+    cols, rows = np.divmod(keys[first][kept], dim)
+    return Entries(rows, cols, sums[kept], dim)
+
+
+def embedded_entries(op, L: int, d: int) -> Entries:
+    """Entries of the open-chain sum of op, taken from op's non-zero entries: a
+    d x d op on every site i = 1..L, or a d^2 x d^2 op on every bond (i, i+1).
+
+    With a = d^(i-1), k the size of op and b = d^L / (a k), entry (p, q) of op
+    on sites i, i+1, ... lands at row c + p b and column c + q b for every
+    corner c = x k b + y with x < a and y < b. Terms are merged in site order,
+    so the entries equal the sum of embed_one_site or embed_two_site terms bit
+    for bit.
     """
-    a, k = d ** (i - 1), len(op)
-    b = d ** L // (a * k)
-    blocks = np.einsum("xpyxqy->xypq", total.reshape(a, k, b, a, k, b))
-    blocks += op
+    op = as_matrix(op)
+    if op.shape not in ((d, d), (d * d, d * d)):
+        raise ValueError(f"operator must be {d}x{d} or {d * d}x{d * d}, got {op.shape}")
+    k, dim = len(op), d ** L
+    keys, values = [], []
+    for i in range(1, L + 1 if k == d else L):  # sites, or bonds
+        a = d ** (i - 1)
+        b = dim // (a * k)
+        corner = (np.arange(a)[:, None] * (k * b) + np.arange(b)).reshape(-1, 1)
+        for q in range(k):  # one column of op at a time: each block of keys is sorted
+            p = np.flatnonzero(op[:, q])
+            keys.append((corner * (dim + 1) + (q * dim + p) * b).ravel())  # col * dim + row
+            values.append(np.broadcast_to(op[p, q], (len(corner), len(p))).ravel())
+    keys, values = np.concatenate(keys), np.concatenate(values)  # the blocks are freed
+    return _merged(keys, values, dim)
 
 
 def embedded_sum(op, L: int, d: int) -> np.ndarray:
@@ -73,13 +137,7 @@ def embedded_sum(op, L: int, d: int) -> np.ndarray:
     d^2 x d^2 op on every bond (i, i+1), i = 1..L-1. Equal entry for entry
     to the sum of embed_one_site or embed_two_site terms."""
     check_dense_size(d ** L)
-    op = as_matrix(op)
-    if op.shape not in ((d, d), (d * d, d * d)):
-        raise ValueError(f"operator must be {d}x{d} or {d * d}x{d * d}, got {op.shape}")
-    total = np.zeros((d ** L, d ** L))
-    for i in range(1, L + 1 if len(op) == d else L):  # sites, or bonds
-        _add_on_sites(total, op, i, L, d)
-    return total
+    return embedded_entries(op, L, d).dense()
 
 
 def embed_one_site(op, i: int, L: int, d: int) -> np.ndarray:
@@ -108,6 +166,28 @@ def commutator(a, b) -> np.ndarray:
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError("commutator needs square matrices of equal size")
     return a @ b - b @ a
+
+
+def _product_terms(a: Entries, b: Entries) -> tuple[np.ndarray, np.ndarray]:
+    """Unmerged terms a_ik b_kj of AB as (keys col * dim + row, values): each entry
+    of b is paired with the entries of a's column k, which a holds contiguously."""
+    ptr = np.searchsorted(a.cols, np.arange(a.dim + 1))
+    count = np.diff(ptr)[b.rows]
+    first = np.cumsum(count) - count  # where each entry of b's terms start
+    pair_b = np.repeat(np.arange(len(b.rows)), count)
+    pair_a = np.arange(len(pair_b)) - np.repeat(first - ptr[b.rows], count)
+    return b.cols[pair_b] * a.dim + a.rows[pair_a], a.values[pair_a] * b.values[pair_b]
+
+
+def commutator_norm(a: Entries, b: Entries) -> float:
+    """Frobenius norm of AB - BA from the entries of A and B, with no dense product."""
+    if a.dim != b.dim:
+        raise ValueError("commutator needs square matrices of equal size")
+    ab_keys, ab_values = _product_terms(a, b)
+    ba_keys, ba_values = _product_terms(b, a)
+    terms = _merged(np.concatenate([ab_keys, ba_keys]),
+                    np.concatenate([ab_values, -ba_values]), a.dim)
+    return float(np.linalg.norm(terms.values))
 
 
 def invariance_residual(op, generators) -> float:
@@ -151,13 +231,13 @@ def symmetric_eigensystem(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, 
     return np.linalg.eigh(_symmetrised([as_matrix(a)], tol)[0])
 
 
-def _strongly_connected_components(n: int, targets: np.ndarray,
-                                   sources: np.ndarray) -> list[list[int]]:
-    """Tarjan's algorithm, iterative, on n nodes with an edge from each targets[k]
-    to sources[k]; targets must be sorted. Returns components as lists of 0-based
+def _strongly_connected_components(n: int, tails: np.ndarray,
+                                   heads: np.ndarray) -> list[list[int]]:
+    """Tarjan's algorithm, iterative, on n nodes with an edge from each tails[k]
+    to heads[k]; tails must be sorted. Returns components as lists of 0-based
     nodes."""
-    bounds = np.searchsorted(targets, np.arange(n + 1)).tolist()
-    flat = sources.tolist()
+    bounds = np.searchsorted(tails, np.arange(n + 1)).tolist()
+    flat = heads.tolist()
     adjacency = [flat[bounds[i]:bounds[i + 1]] for i in range(n)]
     index = [-1] * n  # set to n once a node's component is complete
     low = [0] * n

@@ -8,13 +8,13 @@ indexed 1-based at the API surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .lattice_an import ChainSpec, _LatticeSpec, two_site_h
-from .linalg import (_off_diagonal, _strongly_connected_components, as_matrix, embedded_sum,
-                     intensity_exp, symmetric_eigenvalues)
+from .linalg import (Entries, _off_diagonal, _strongly_connected_components, as_matrix,
+                     embedded_entries, intensity_exp, nonzero_entries, symmetric_eigenvalues)
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 from .su2_ladder import column_sum_value, h_doubleprime
 
@@ -53,15 +53,28 @@ class MarkovChain:
     kind: str  # "transition" | "intensity"
     matrix: np.ndarray
     spec: ChainSpec | LadderSpec | None
+    # set by _local_chain, which builds the matrix from them; dropped with that matrix
+    _entries: Entries | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("transition", "intensity"):
             raise ValueError("kind must be 'transition' or 'intensity'")
         self.matrix = as_matrix(self.matrix)
 
+    def __setattr__(self, name, value) -> None:
+        if name == "matrix":
+            object.__setattr__(self, "_entries", None)
+        object.__setattr__(self, name, value)
+
     @property
     def num_states(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def entries(self) -> Entries:
+        """The matrix's entries, sorted by column: a lattice chain's come from its
+        kernel; an ad-hoc matrix's are read off it, at every call."""
+        return self._entries if self._entries is not None else nonzero_entries(self.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +141,14 @@ def _local_chain(spec: ChainSpec | LadderSpec, kernel: np.ndarray, column_sum: f
         kernel = kernel - column_sum * np.eye(len(kernel))
     else:
         raise ValueError("kind must be 'transition' or 'intensity'")
-    total = embedded_sum(kernel, spec.L, spec.local_dim)
+    entries = embedded_entries(kernel, spec.L, spec.local_dim)
     if kind == "transition":
-        total /= (spec.L - 1) * column_sum
-    return MarkovChain(kind=kind, matrix=total, spec=spec)
+        np.divide(entries.values, (spec.L - 1) * column_sum, out=entries.values)
+    matrix = entries.dense()
+    matrix.flags.writeable = False  # an in-place write would leave the entries stale
+    chain = MarkovChain(kind=kind, matrix=matrix, spec=spec)
+    chain._entries = entries
+    return chain
 
 
 def build_an_markov(spec: ChainSpec, kind: str) -> MarkovChain:
@@ -216,14 +233,13 @@ def closed_sets(chain: MarkovChain) -> ChainAnalysis:
     from j to i. Sink components of the condensation have no outgoing
     flow, so they are exactly the minimal closed sets; a proper closed set
     exists (the chain is reducible) whenever there is more than one
-    component.
+    component. The edges are read from the chain's entries.
     """
-    edges = chain.matrix > EDGE_THRESHOLD
-    np.fill_diagonal(edges, False)
-    n = edges.shape[0]
-    targets, sources = np.nonzero(edges)  # row i: the states that flow into i
-    # the reversed graph has the same strongly connected components
-    comps = _strongly_connected_components(n, targets, sources)
+    rows, cols, values, n = chain.entries
+    edges = (values > EDGE_THRESHOLD) & (rows != cols)
+    # flow from sources[k] into targets[k], grouped by source as the entries are by column
+    sources, targets = cols[edges], rows[edges]
+    comps = _strongly_connected_components(n, sources, targets)
     comp_of = np.empty(n, dtype=np.intp)
     for cid, comp in enumerate(comps):
         comp_of[comp] = cid

@@ -6,9 +6,9 @@ trajectories on every platform. Categorical draws use inverse-CDF lookup
 over Kahan-compensated cumulative sums built over the support of the
 state's column (its positive entries only), so no draw can land on a
 zero-probability state; the last support entry absorbs rounding slack up
-to 1e-12. Each path reads the matrix once, in one O(dim^2) pass that
-groups its positive entries by column (`_column_supports`); after that a
-first visit costs O(support) of the state's column.
+to 1e-12. Each path takes the positive entries of each column from the
+chain's sorted entries (`_column_supports`), not from a scan of the dense
+matrix, so a first visit costs O(support) of the state's column.
 """
 
 from __future__ import annotations
@@ -53,14 +53,13 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _column_supports(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The positive entries of m grouped by column, from one pass over m: 0-based
-    rows (ascending within each column), their values, and pointers such that
-    column j holds rows[ptr[j]:ptr[j + 1]]."""
-    rows, cols = np.nonzero(m > 0)  # the dim^2 bool mask is freed on return
-    values = m[rows, cols]  # gathered in C order, then sorted with the rows
-    order = np.argsort(cols, kind="stable")
-    return rows[order], values[order], np.searchsorted(cols[order], np.arange(len(m) + 1))
+def _column_supports(chain: MarkovChain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positive entries of the chain's matrix grouped by column, read from its
+    entries: 0-based rows (ascending within each column), their values, and
+    pointers such that column j holds rows[ptr[j]:ptr[j + 1]]."""
+    rows, cols, values, dim = chain.entries
+    positive = values > 0
+    return rows[positive], values[positive], np.searchsorted(cols[positive], np.arange(dim + 1))
 
 
 def _column(supports, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -99,6 +98,7 @@ def _support_cdf(support: np.ndarray, values: np.ndarray) -> tuple[list[int], li
 
 
 def _draw(rng: np.random.Generator, states: list[int], cdf: list[float]) -> int:
+    """One categorical draw; the samplers inline it in their loops."""
     return states[bisect.bisect_right(cdf, rng.random())]
 
 
@@ -126,7 +126,7 @@ def simulate_dtmc(chain: MarkovChain, init: int, steps: int, seed: int) -> Traje
     steps = _whole_number(steps, "steps")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    supports = _column_supports(chain.matrix)
+    supports = _column_supports(chain)
     rng = _rng(seed)
     cdf_cache: dict[int, tuple[list[int], list[float]]] = {}
     states = [init]
@@ -160,12 +160,15 @@ def simulate_ctmc(chain: MarkovChain, init: int, t_max: float, seed: int,
     init = _initial_state(chain, init)
     if not 0 < t_max < math.inf:  # a NaN or infinite horizon is never reached
         raise ValueError("t_max must be finite and positive")
-    supports = _column_supports(chain.matrix)
+    supports = _column_supports(chain)
     rng = _rng(seed)
+    # looked up once: the loop below runs once per event
+    exponential, uniform, bisect_right = rng.standard_exponential, rng.random, bisect.bisect_right
     states = [init]
     times = [0.0]
     current = init
     t = 0.0
+    # per state: the mean holding time 1 / rate (0.0 if absorbing), jump targets, CDF
     cdf_cache: dict[int, tuple[float, list[int], list[float]]] = {}
     while True:
         if current not in cdf_cache:
@@ -173,18 +176,20 @@ def simulate_ctmc(chain: MarkovChain, init: int, t_max: float, seed: int,
             if rate <= tol.abs_tol:
                 cdf_cache[current] = (0.0, [], [])
             else:
-                cdf_cache[current] = (rate, *_support_cdf(*_jumps(supports, current - 1, rate)))
-        rate, targets, cdf = cdf_cache[current]
-        if rate == 0.0:
+                cdf_cache[current] = (1.0 / rate,
+                                      *_support_cdf(*_jumps(supports, current - 1, rate)))
+        scale, targets, cdf = cdf_cache[current]
+        if scale == 0.0:
             break  # absorbing: holds forever
-        t_next = t + rng.exponential(1.0 / rate)
+        # numpy draws exponential(scale) as scale * standard_exponential()
+        t_next = t + exponential() * scale
         if t_next >= t_max:
             break
         if t_next == t:
             raise ValueError(f"holding time in state {current} vanishes at t={t}: "
                              "the path cannot advance in float64")
         t = t_next
-        current = _draw(rng, targets, cdf)
+        current = targets[bisect_right(cdf, uniform())]
         states.append(current)
         times.append(t)
     return Trajectory(kind="ctmc", states=states, times=times, t_max=t_max,

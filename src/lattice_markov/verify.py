@@ -168,10 +168,10 @@ def verify_ladder(a: float, b: float, c: float, L: int = 2,
         p_chain = markov.build_ladder_markov(params, L, "transition")
         checks.append(markov.validate(p_chain, tol))
         detected = markov.absorbing_states(p_chain, tol)
+        del p_chain  # so that one dense chain is held at a time
         checks.append(VerificationReport.from_residuals(
             "ladder_no_absorbing", {"count": float(len(detected))}, 0.5, detected=detected))
-        q_chain = markov.build_ladder_markov(params, L, "intensity")
-        checks.append(markov.validate(q_chain, tol))
+        checks.append(markov.validate(markov.build_ladder_markov(params, L, "intensity"), tol))
 
     checks.sort(key=lambda r: r.name)
     return checks

@@ -1,10 +1,14 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from lattice_markov import lattice_an as lat
+from lattice_markov.an_algebra import fundamental_rep
 from lattice_markov.braid_tl import qybe_residual
 from lattice_markov.linalg import commutator, frobenius_norm
 
@@ -85,6 +89,54 @@ def test_symmetry_residual_equals_per_generator_loop():
     expected = max(frobenius_norm(commutator(h.matrix, g)) for g in lat.global_generators(h.spec))
     assert expected > 0.1
     assert lat.symmetry_residual(h) == expected
+
+
+def _scipy_generator(g, L):
+    """A one-site sum built with scipy.sparse.kron: the independent route."""
+    d = len(g)
+    return sum(scipy.sparse.kron(scipy.sparse.kron(scipy.sparse.identity(d ** (i - 1)), g),
+                                 scipy.sparse.identity(d ** (L - i)), format="csr")
+               for i in range(1, L + 1))
+
+
+@pytest.mark.parametrize("n,L", [(1, 8), (2, 5), (3, 4)])
+def test_symmetry_residual_of_perturbed_h_matches_scipy_sparse(n, L):
+    h = lat.hamiltonian(lat.ChainSpec(n, L))
+    rng = np.random.default_rng(10 * n + L)
+    for _ in range(3):  # symmetric pairs with values that products round
+        i, j = rng.integers(0, len(h.matrix), size=2)
+        h.matrix[i, j] += 0.1
+        h.matrix[j, i] += 0.1
+    h.matrix[3, 5] -= 1.0 / 3.0  # and one asymmetric entry
+    ham = scipy.sparse.csr_array(h.matrix)
+    expected = max(scipy.sparse.linalg.norm(ham @ g - g @ ham)
+                   for g in map(functools.partial(_scipy_generator, L=L),
+                                fundamental_rep(n).all_generators()))
+    assert expected > 0.1
+    assert lat.symmetry_residual(h) == pytest.approx(expected, rel=1e-12)
+
+
+def test_symmetry_residual_refuses_a_matrix_of_the_wrong_size():
+    # the dense commutator refused it; the sparse one must not return a number
+    h = lat.LatticeHamiltonian(spec=lat.ChainSpec(1, 3), matrix=np.eye(4))
+    with pytest.raises(ValueError, match="equal size"):
+        lat.symmetry_residual(h)
+    h = lat.LatticeHamiltonian(spec=lat.ChainSpec(1, 2), matrix=np.ones((4, 3)))
+    with pytest.raises(ValueError, match="square"):
+        lat.symmetry_residual(h)
+
+
+def test_symmetry_residual_builds_no_dense_operator():
+    h = lat.hamiltonian(lat.ChainSpec(3, 5))  # dim 1024, 15 generators
+    tracemalloc.start()
+    try:
+        residual = lat.symmetry_residual(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual == 0.0
+    # below one dim^2 of float64 (8 MiB): a dense generator alone would fill it
+    assert peak < h.matrix.nbytes
 
 
 def test_chain_spectrum_against_lapack_oracle():

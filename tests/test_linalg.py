@@ -4,10 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lattice_markov import linalg
 from lattice_markov import su2_ladder as lad
-from lattice_markov.an_algebra import delta_casimir
+from lattice_markov.an_algebra import delta_casimir, fundamental_rep
 from lattice_markov.lattice_an import hamiltonian, two_site_h
 from lattice_markov.markov import (ChainSpec, LadderParams, build_an_markov, build_ladder_markov,
                                    closed_sets)
@@ -146,6 +151,94 @@ def test_ladder_markov_equals_kron_route(abc, L):
     q = build_ladder_markov(LadderParams(*abc), L, "intensity").matrix
     assert np.array_equal(p, _kron_sum(density, L, 4) / ((L - 1) * norm))
     assert np.array_equal(q, _kron_sum(density - norm * np.eye(16), L, 4))
+
+
+def _kron_site_sum(op, L, d):
+    """Reference one-site sum: one kron-embedded term per site."""
+    total = np.zeros((d ** L, d ** L))
+    for i in range(1, L + 1):
+        total += linalg.embed_one_site(op, i, L, d)
+    return total
+
+
+# a rank n and a number of sites L with (n+1)^L <= 256
+RANK_AND_SITES = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(2, {1: 8, 2: 5, 3: 4}[n])))
+# ladder parameters: quarter steps reach the edges of the positivity region exactly
+LADDER_PARAMETER = st.one_of(st.integers(-80, 160).map(lambda v: v / 4),
+                             st.floats(-20.0, 40.0, allow_nan=False))
+KERNEL_ENTRY = st.one_of(st.just(0.0), st.sampled_from([1.0, -1.0, 0.5]),
+                         st.floats(-8.0, 8.0, allow_nan=False, allow_subnormal=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(RANK_AND_SITES, st.data())
+def test_chain_kernel_entries_scatter_to_the_kron_route(rank_and_sites, data):
+    n, L = rank_and_sites
+    d = n + 1
+    entries = linalg.embedded_entries(two_site_h(n), L, d)
+    assert entries.dense().tobytes() == _kron_sum(two_site_h(n), L, d).tobytes()
+    g = data.draw(st.sampled_from(fundamental_rep(n).all_generators()))
+    assert linalg.embedded_entries(g, L, d).dense().tobytes() == _kron_site_sum(g, L, d).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(LADDER_PARAMETER, LADDER_PARAMETER, LADDER_PARAMETER, st.integers(2, 4))
+def test_ladder_kernel_entries_scatter_to_the_kron_route(a, b, c, L):
+    # any (a, b, c), inside the positivity region or not: the sum is defined for all
+    density = lad.h_doubleprime(a, b, c)
+    for kernel in (density, density - lad.column_sum_value(a, b, c) * np.eye(16)):
+        got = linalg.embedded_entries(kernel, L, 4).dense()
+        assert got.tobytes() == _kron_sum(kernel, L, 4).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda d: st.tuples(
+    st.just(d), st.integers(2, {2: 7, 3: 4}[d]), st.sampled_from([d, d * d]).flatmap(
+        lambda k: hnp.arrays(np.float64, (k, k), elements=KERNEL_ENTRY)))))
+def test_random_kernel_entries_scatter_to_the_kron_route(case):
+    d, L, op = case
+    reference = _kron_site_sum(op, L, d) if len(op) == d else _kron_sum(op, L, d)
+    entries = linalg.embedded_entries(op, L, d)
+    assert entries.dense().tobytes() == reference.tobytes()
+    # sorted by column and then row, each position once, no zero sums
+    keys = entries.cols * entries.dim + entries.rows
+    assert np.all(np.diff(keys) > 0) and np.all(entries.values != 0.0)
+
+
+def test_nonzero_entries_are_sorted_by_column():
+    m = np.array([[0.0, 2.0, 0.0], [3.0, 0.0, 0.0], [4.0, 5.0, -1.0]])
+    rows, cols, values, dim = linalg.nonzero_entries(m)
+    assert (rows.tolist(), cols.tolist(), values.tolist(), dim) == (
+        [1, 2, 0, 2, 2], [0, 0, 1, 1, 2], [3.0, 4.0, 2.0, 5.0, -1.0], 3)
+    assert linalg.Entries(rows, cols, values, dim).dense().tobytes() == m.tobytes()
+    with pytest.raises(ValueError, match="square"):
+        linalg.nonzero_entries(np.ones((2, 3)))
+
+
+def _scipy_commutator_norm(a, b):
+    a, b = scipy.sparse.csr_array(a), scipy.sparse.csr_array(b)
+    return scipy.sparse.linalg.norm(a @ b - b @ a)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_commutator_norm_matches_scipy_sparse_products(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 40))
+    a, b = (rng.normal(size=(dim, dim)) * (rng.random((dim, dim)) < rng.uniform(0.05, 0.5))
+            for _ in range(2))
+    got = linalg.commutator_norm(linalg.nonzero_entries(a), linalg.nonzero_entries(b))
+    assert got == pytest.approx(_scipy_commutator_norm(a, b), rel=1e-12, abs=1e-12)
+    assert got == pytest.approx(linalg.frobenius_norm(linalg.commutator(a, b)), rel=1e-12,
+                                abs=1e-12)
+    zero = linalg.nonzero_entries(np.zeros((dim, dim)))
+    assert linalg.commutator_norm(linalg.nonzero_entries(a), zero) == 0.0
+
+
+def test_commutator_norm_needs_equal_sizes():
+    with pytest.raises(ValueError, match="equal size"):
+        linalg.commutator_norm(linalg.nonzero_entries(np.eye(4)),
+                               linalg.nonzero_entries(np.eye(8)))
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])

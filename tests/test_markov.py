@@ -365,6 +365,35 @@ def test_absorbing_states_allocates_no_dense_float_copy():
     assert peak < dense_bytes / 4
 
 
+def test_lattice_chain_matrix_is_read_only():
+    """Its entries were built with it: an in-place write would leave them stale."""
+    chain = mk.build_an_markov(ChainSpec(1, 3), "intensity")
+    with pytest.raises(ValueError, match="read-only"):
+        chain.matrix[0, 1] = 1.0
+    matrix = np.eye(3)  # an ad-hoc matrix keeps its flags, and its entries follow it
+    adhoc = mk.MarkovChain(kind="transition", matrix=matrix, spec=None)
+    assert adhoc.matrix is matrix and matrix.flags.writeable
+    matrix[[0, 1]] = matrix[[1, 0]]
+    assert adhoc.entries.rows.tolist() == [1, 0, 2]
+    # a matrix put in place of the built one drops the kernel's entries
+    chain.matrix = np.zeros((8, 8))
+    assert len(chain.entries.values) == 0 and mk.closed_sets(chain).closed_sets == [
+        [s] for s in range(1, 9)]
+
+
+def test_closed_sets_build_no_dense_mask():
+    chain = mk.build_an_markov(ChainSpec(1, 10), "transition")
+    tracemalloc.start()
+    try:
+        analysis = mk.closed_sets(chain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert analysis.absorbing == mk.absorbing_states_formula(chain.spec)
+    assert len(analysis.closed_sets) == 11  # one per number of 1s
+    assert peak < chain.num_states ** 2  # the bytes of a dim x dim bool mask (1 MiB)
+
+
 def test_ladder_markov_row_flag():
     params = mk.LadderParams(16.0, 0.0, 0.0)
     report = mk.validate(mk.build_ladder_markov(params, 2, "transition"))

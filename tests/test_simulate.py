@@ -3,15 +3,18 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lattice_markov import simulate as sim
 from lattice_markov.lattice_an import ChainSpec
 from lattice_markov.markov import (LadderParams, MarkovChain, build_an_markov,
-                                   build_ladder_markov, encode)
+                                   build_ladder_markov, closed_sets, encode)
 from lattice_markov.reporting import DEFAULT_TOL
 
 
@@ -304,7 +307,7 @@ def test_draw_never_lands_on_zero_probability_state(chain):
     cumulative sum ends at 1 - 2**-53."""
     largest_u = 1.0 - 2.0 ** -53  # largest value rng.random() returns
     m = chain.matrix
-    supports = sim._column_supports(m)
+    supports = sim._column_supports(chain)
     for j in range(chain.num_states):
         column = np.clip(m[:, j], 0.0, None)
         if chain.kind == "intensity":
@@ -368,7 +371,7 @@ def _dense_law(chain, j):
 @pytest.mark.parametrize("chain", _STRUCTURE_CHAINS)
 def test_column_supports_equal_the_dense_columns(chain):
     m = chain.matrix
-    supports = sim._column_supports(m)
+    supports = sim._column_supports(chain)
     for j in range(chain.num_states):
         rows, values = sim._column(supports, j)
         dense = np.flatnonzero(np.clip(m[:, j], 0.0, None))
@@ -380,6 +383,56 @@ def test_column_supports_equal_the_dense_columns(chain):
     if m[1, 0] == 5e-324:
         assert sim._column(supports, 0)[0].tolist() == [1, 2]
         assert sim._jumps(supports, 0, 2.0)[0].tolist() == [2]
+
+
+def _same_structure(chain):
+    """The chain's kernel-built entries against those read off its dense matrix by
+    an ad-hoc chain: the same entries, closed sets and column supports."""
+    adhoc = MarkovChain(kind=chain.kind, matrix=chain.matrix.copy(), spec=None)
+    for got, want in zip(chain.entries, adhoc.entries):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert closed_sets(chain) == closed_sets(adhoc)
+    for got, want in zip(sim._column_supports(chain), sim._column_supports(adhoc)):
+        assert got.tobytes() == want.tobytes()
+
+
+# a rank n and a number of sites L with (n+1)^L <= 256
+_RANK_AND_SITES = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(2, {1: 8, 2: 5, 3: 4}[n])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_RANK_AND_SITES, st.sampled_from(["transition", "intensity"]))
+def test_an_chain_entries_give_the_dense_structure(rank_and_sites, kind):
+    _same_structure(build_an_markov(ChainSpec(*rank_and_sites), kind))
+
+
+# quarter steps reach the edges of the positivity region exactly
+_PARAMETER = st.one_of(st.integers(-8, 120).map(lambda v: v / 4),
+                       st.floats(-2.0, 30.0, allow_nan=False))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_PARAMETER, _PARAMETER, _PARAMETER, st.integers(2, 4),
+       st.sampled_from(["transition", "intensity"]))
+def test_ladder_chain_entries_give_the_dense_structure(a, b, c, L, kind):
+    try:
+        chain = build_ladder_markov(LadderParams(a, b, c), L, kind)
+    except ValueError:  # outside the region where this kind of chain exists
+        assume(False)
+    _same_structure(chain)
+
+
+def test_column_supports_of_a_lattice_chain_scan_no_dense_matrix():
+    chain = build_an_markov(ChainSpec(1, 10), "transition")
+    tracemalloc.start()
+    try:
+        rows, _, ptr = sim._column_supports(chain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == ptr[-1] == np.count_nonzero(chain.matrix)
+    assert peak < chain.num_states ** 2  # the bytes of a dim x dim bool mask (1 MiB)
 
 
 def _dense_route_path(chain, init, horizon, seed):
