@@ -51,7 +51,7 @@ def _cmd_verify(args) -> int:
     if args.target in ("an", "all"):
         suites["an"] = verify.verify_an(args.n, args.L, tol)
     if args.target in ("ladder", "all"):
-        suites["ladder"] = verify.verify_ladder(args.a, args.b, args.c, max(args.L, 2), tol)
+        suites["ladder"] = verify.verify_ladder(args.a, args.b, args.c, args.L, tol)
     checks = [report for reports in suites.values() for report in reports]
     payload = {
         "tool": "lattice-markov",
@@ -143,14 +143,13 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+def _add_model_flags(parser: argparse.ArgumentParser, ladder: bool = True) -> None:
     parser.add_argument("--n", type=int, default=1, help="chain rank (default 1)")
     parser.add_argument("--L", type=int, default=3, help="number of sites/rungs (default 3)")
-    parser.add_argument("--a", type=float, default=16.0, help="ladder parameter a")
-    parser.add_argument("--b", type=float, default=0.0, help="ladder parameter b")
-    parser.add_argument("--c", type=float, default=0.0, help="ladder parameter c")
-    parser.add_argument("--d", type=float, default=1.0, help="two-parameter family d")
-    parser.add_argument("--f", type=float, default=0.0, help="two-parameter family f")
+    if ladder:
+        parser.add_argument("--a", type=float, default=16.0, help="ladder parameter a")
+        parser.add_argument("--b", type=float, default=0.0, help="ladder parameter b")
+        parser.add_argument("--c", type=float, default=0.0, help="ladder parameter c")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,13 +170,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("target", choices=["an", "ladder"])
     p_build.add_argument("--kind", required=True, choices=["H", "P", "Q", "E", "Hpp", "H0"])
     _add_model_flags(p_build)
+    p_build.add_argument("--d", type=float, default=1.0, help="two-parameter family d")
+    p_build.add_argument("--f", type=float, default=0.0, help="two-parameter family f")
     p_build.add_argument("--format", choices=["csv", "json"], default="json")
     p_build.add_argument("--out", required=True)
     p_build.set_defaults(func=_cmd_build)
 
     p_spec = sub.add_parser("spectrum", help="eigenvalues of the chain Hamiltonian")
     p_spec.add_argument("target", choices=["an"])
-    _add_model_flags(p_spec)
+    _add_model_flags(p_spec, ladder=False)
     p_spec.add_argument("--out")
     p_spec.set_defaults(func=_cmd_spectrum)
 

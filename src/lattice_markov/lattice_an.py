@@ -14,8 +14,8 @@ import numpy as np
 
 from .an_algebra import delta_casimir, fundamental_rep
 from .braid_tl import tl_from_an
-from .linalg import (as_matrix, check_dense_size, commutator_norm, embedded_entries,
-                     embedded_sum, frobenius_norm, nonzero_entries, symmetric_eigenvalues)
+from .linalg import (as_matrix, commutator_norm, embedded_entries, embedded_sum,
+                     frobenius_norm, nonzero_entries, symmetric_eigenvalues)
 from .reporting import DEFAULT_TOL, Tolerance
 
 
@@ -29,9 +29,6 @@ class _LatticeSpec:
     @property
     def dim(self) -> int:
         return self.local_dim ** self.L
-
-    def guard_dense(self) -> None:
-        check_dense_size(self.dim)
 
 
 @dataclass(frozen=True)

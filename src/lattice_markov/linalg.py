@@ -81,8 +81,9 @@ def nonzero_entries(m) -> Entries:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    cols, rows = np.nonzero(m.T)  # m.T in C order visits m column by column
-    return Entries(rows, cols, m[rows, cols], len(m))
+    n = len(m)
+    rows, cols = np.nonzero(m != 0)
+    return _merged(cols * n + rows, m[rows, cols], n)
 
 
 def _merged(keys: np.ndarray, values: np.ndarray, dim: int) -> Entries:
@@ -98,7 +99,7 @@ def _merged(keys: np.ndarray, values: np.ndarray, dim: int) -> Entries:
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     group = np.cumsum(first)
     group -= 1
-    sums = np.bincount(group, weights=values)
+    sums = np.bincount(group, weights=values).astype(float, copy=False)  # int if no terms
     del group
     kept = sums != 0.0
     cols, rows = np.divmod(keys[first][kept], dim)
@@ -119,15 +120,14 @@ def embedded_entries(op, L: int, d: int) -> Entries:
     if op.shape not in ((d, d), (d * d, d * d)):
         raise ValueError(f"operator must be {d}x{d} or {d * d}x{d * d}, got {op.shape}")
     k, dim = len(op), d ** L
+    q, p = np.nonzero(op.T)  # by column: each corner's keys come sorted, for the stable sort
     keys, values = [], []
     for i in range(1, L + 1 if k == d else L):  # sites, or bonds
         a = d ** (i - 1)
         b = dim // (a * k)
         corner = (np.arange(a)[:, None] * (k * b) + np.arange(b)).reshape(-1, 1)
-        for q in range(k):  # one column of op at a time: each block of keys is sorted
-            p = np.flatnonzero(op[:, q])
-            keys.append((corner * (dim + 1) + (q * dim + p) * b).ravel())  # col * dim + row
-            values.append(np.broadcast_to(op[p, q], (len(corner), len(p))).ravel())
+        keys.append((corner * (dim + 1) + (q * dim + p) * b).ravel())  # col * dim + row
+        values.append(np.broadcast_to(op[p, q], (len(corner), len(p))).ravel())
     keys, values = np.concatenate(keys), np.concatenate(values)  # the blocks are freed
     return _merged(keys, values, dim)
 
@@ -279,11 +279,10 @@ def _blocks(m: np.ndarray) -> list[np.ndarray]:
     """0-based sorted index arrays of the connected components of the graph with an
     edge wherever m[i, j] or m[j, i] is non-zero, so no entry of m lies off the
     blocks; ordered by first member."""
+    n = len(m)
     rows, cols = np.nonzero(m != 0)  # faster than np.nonzero(m) on floats
-    targets = np.concatenate([rows, cols])
-    order = np.argsort(targets, kind="stable")
-    comps = _strongly_connected_components(len(m), targets[order],
-                                           np.concatenate([cols, rows])[order])
+    edges = _merged(np.concatenate([cols * n + rows, rows * n + cols]), np.ones(2 * len(rows)), n)
+    comps = _strongly_connected_components(n, edges.cols, edges.rows)
     return sorted((np.sort(np.array(c, dtype=np.intp)) for c in comps), key=lambda b: b[0])
 
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from .lattice_an import ChainSpec, _LatticeSpec, two_site_h
 from .linalg import (Entries, _off_diagonal, _strongly_connected_components, as_matrix,
-                     embedded_entries, intensity_exp, nonzero_entries, symmetric_eigenvalues)
+                     check_dense_size, embedded_entries, intensity_exp, nonzero_entries,
+                     symmetric_eigenvalues)
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 from .su2_ladder import column_sum_value, h_doubleprime
 
@@ -125,7 +126,7 @@ def _local_chain(spec: ChainSpec | LadderSpec, kernel: np.ndarray, column_sum: f
     transition: (sum of embedded kernels) / ((L-1) column_sum);
     intensity: sum of embedded (kernel - column_sum * identity).
     """
-    spec.guard_dense()
+    check_dense_size(spec.dim)
     if column_sum == 0.0:  # n + 1 cannot vanish; the ladder's 4 (18 + 4a + 4b + c) can
         raise ValueError("degenerate normalizer: 18 + 4a + 4b + c = 0")
     if kind == "transition":

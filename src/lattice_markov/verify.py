@@ -122,6 +122,7 @@ def verify_an(n: int, L: int, tol: Tolerance = DEFAULT_TOL) -> list[Verification
 def verify_ladder(a: float, b: float, c: float, L: int = 2,
                   tol: Tolerance = DEFAULT_TOL) -> list[VerificationReport]:
     """Full certification of the two-leg ladder stack at parameters (a, b, c)."""
+    params = markov.LadderSpec(markov.LadderParams(a, b, c), L).params  # L < 2 raises first
     checks: list[VerificationReport] = []
 
     spin = su2_ladder.total_spin_generators(4)
@@ -163,7 +164,6 @@ def verify_ladder(a: float, b: float, c: float, L: int = 2,
     positivity = su2_ladder.positivity_check(a, b, c, tol)
     checks.append(positivity)
 
-    params = markov.LadderParams(a, b, c)
     if positivity.passed:
         p_chain = markov.build_ladder_markov(params, L, "transition")
         checks.append(markov.validate(p_chain, tol))

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from lattice_markov import cli
+from lattice_markov import cli, verify
 from lattice_markov.linalg import load_matrix_csv, load_matrix_json
 
 
@@ -213,3 +214,72 @@ def test_deterministic_reports(capsys):
                               "--init", "2", "--tmax", "100", "--seed", "5"], capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "__dict__").setdefault("_read", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+_VERB_ARGVS = {
+    "verify": [["an", "--n", "1", "--L", "2"],
+               ["ladder", "--L", "2", "--a", "16", "--b", "0", "--c", "0", "--tol", "1e-9"]],
+    "build": [["an", "--kind", "H", "--n", "1", "--L", "2"], ["an", "--kind", "E"],
+              ["an", "--kind", "P", "--format", "csv"], ["ladder", "--kind", "Q", "--L", "2"],
+              ["ladder", "--kind", "Hpp", "--a", "17", "--b", "1", "--c", "0"],
+              ["ladder", "--kind", "H"], ["ladder", "--kind", "H0", "--d", "2", "--f", "1"]],
+    "spectrum": [["an", "--n", "1", "--L", "2"]],
+    "markov": [["an", "--kind", "P", "--n", "2", "--L", "2"],
+               ["ladder", "--kind", "Q", "--L", "2", "--matrix-out", "{tmp}/m.csv",
+                "--format", "csv"]],
+    "simulate": [["an", "--kind", "P", "--init", "2", "--steps", "5", "--seed", "1"],
+                 ["ladder", "--kind", "Q", "--L", "2", "--tmax", "1",
+                  "--trajectory-out", "{tmp}/t.csv"]],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_ARGVS))
+def test_every_flag_a_verb_accepts_is_read(verb, tmp_path, capsys):
+    parser = cli.build_parser()
+    subparser = next(a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)).choices[verb]
+    accepted = {a.dest for a in subparser._actions if a.option_strings and a.dest != "help"}
+    read: set[str] = set()
+    for argv in _VERB_ARGVS[verb]:
+        argv = [verb] + [arg.format(tmp=tmp_path) for arg in argv] + ["--out", f"{tmp_path}/o"]
+        args = parser.parse_args(argv, namespace=_ReadRecorder())
+        args.__dict__.pop("_read", None)  # parsing reads every flag; count the handler's
+        assert args.func(args) in (0, 1)
+        read |= args.__dict__.get("_read", set())
+    assert sorted(accepted - read) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "an", "--a", "99"], ["spectrum", "an", "--b", "1"],
+    ["spectrum", "an", "--c", "1"], ["spectrum", "an", "--d", "5"],
+    ["spectrum", "an", "--f", "0"], ["verify", "an", "--d", "5"], ["verify", "an", "--f", "0"],
+    ["markov", "an", "--d", "5"], ["markov", "an", "--f", "0"],
+    ["simulate", "an", "--d", "5"], ["simulate", "an", "--f", "0"]])
+def test_flags_a_verb_never_reads_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    if argv == ["markov", "an", "--f", "0"]:  # --f abbreviates --format, which refuses 0
+        assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["verify", "markov"])
+@pytest.mark.parametrize("flags", [["--L", "1"], ["--a", "0", "--L", "1"], ["--L", "-3"]])
+def test_ladder_with_fewer_than_two_rungs_exits_two(verb, flags, capsys):
+    code, out, err = run_cli([verb, "ladder"] + flags, capsys)
+    assert (code, out, err) == (2, "", "error: need at least two rungs\n")
+
+
+@pytest.mark.parametrize("a", [16.0, 0.0])
+def test_verify_ladder_refuses_one_rung(a):
+    with pytest.raises(ValueError, match="need at least two rungs"):
+        verify.verify_ladder(a, 0.0, 0.0, 1)

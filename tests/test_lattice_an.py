@@ -10,7 +10,7 @@ import scipy.sparse.linalg
 from lattice_markov import lattice_an as lat
 from lattice_markov.an_algebra import fundamental_rep
 from lattice_markov.braid_tl import qybe_residual
-from lattice_markov.linalg import commutator, frobenius_norm
+from lattice_markov.linalg import check_dense_size, commutator, frobenius_norm
 
 SWAP4 = np.array([[1, 0, 0, 0],
                   [0, 0, 1, 0],
@@ -29,9 +29,9 @@ def test_two_site_density_braid_rank_two():
 
 
 def test_chain_spec_guard():
-    lat.ChainSpec(1, 12).guard_dense()  # 4096 exactly
+    check_dense_size(lat.ChainSpec(1, 12).dim)  # 4096 exactly
     with pytest.raises(ValueError):
-        lat.ChainSpec(1, 13).guard_dense()
+        check_dense_size(lat.ChainSpec(1, 13).dim)
     with pytest.raises(ValueError):
         lat.ChainSpec(0, 3)
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -214,6 +215,32 @@ def test_nonzero_entries_are_sorted_by_column():
     assert linalg.Entries(rows, cols, values, dim).dense().tobytes() == m.tobytes()
     with pytest.raises(ValueError, match="square"):
         linalg.nonzero_entries(np.ones((2, 3)))
+
+
+# mostly zeros (of either sign), with subnormal, tiny and huge non-zeros among them
+SPARSE_ENTRY = st.one_of(st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e-300, 1.0, -3.0]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+SPARSE_MATRIX = st.integers(0, 14).flatmap(lambda n: hnp.arrays(
+    np.float64, (n, n), elements=SPARSE_ENTRY, fill=st.sampled_from([0.0, -0.0])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SPARSE_MATRIX)
+def test_nonzero_entries_equal_the_transposed_nonzero_route(m):
+    cols, rows = np.nonzero(m.T)  # the reference: m.T in C order visits m column by column
+    got = linalg.nonzero_entries(m)
+    assert got.dim == len(m)
+    for have, want in zip(got[:3], (rows, cols, m[rows, cols])):
+        assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(SPARSE_MATRIX)
+def test_blocks_are_the_weakly_connected_components(m):
+    # the support need not be symmetric: an edge either way joins two states
+    count, labels = connected_components(scipy.sparse.csr_array(m != 0), connection="weak")
+    expected = sorted(np.flatnonzero(labels == k).tolist() for k in range(count))
+    assert [b.tolist() for b in linalg._blocks(m)] == expected
 
 
 def _scipy_commutator_norm(a, b):
