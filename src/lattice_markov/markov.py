@@ -8,7 +8,8 @@ indexed 1-based at the API surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,43 +45,48 @@ class LadderSpec(_LatticeSpec):
         return 4
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MarkovChain:
-    """A transition or intensity matrix plus its state encoding.
+    """A transition or intensity matrix, held as its entries, plus its state encoding.
 
-    spec may be None for ad-hoc matrices that carry no lattice encoding.
+    The entries, sorted by column, are the chain's one copy of its matrix: a lattice
+    chain's are summed from its kernel, and `from_matrix` reads an ad-hoc matrix's
+    once. `matrix` scatters them into a read-only dense array on first use. spec may
+    be None for ad-hoc matrices that carry no lattice encoding.
     """
 
     kind: str  # "transition" | "intensity"
-    matrix: np.ndarray
+    entries: Entries
     spec: ChainSpec | LadderSpec | None
-    # set by _local_chain, which builds the matrix from them; dropped with that matrix
-    _entries: Entries | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("transition", "intensity"):
             raise ValueError("kind must be 'transition' or 'intensity'")
-        self.matrix = as_matrix(self.matrix)
 
-    def __setattr__(self, name, value) -> None:
-        if name == "matrix":
-            object.__setattr__(self, "_entries", None)
-        object.__setattr__(self, name, value)
+    @classmethod
+    def from_matrix(cls, kind: str, matrix, spec=None) -> MarkovChain:
+        return cls(kind, nonzero_entries(matrix), spec)
 
     @property
     def num_states(self) -> int:
-        return self.matrix.shape[0]
+        return self.entries.dim
 
-    @property
-    def entries(self) -> Entries:
-        """The matrix's entries, sorted by column: a lattice chain's come from its
-        kernel; an ad-hoc matrix's are read off it, at every call."""
-        return self._entries if self._entries is not None else nonzero_entries(self.matrix)
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = self.entries.dense()
+        m.flags.writeable = False  # an in-place write would leave the entries stale
+        return m
 
 
 # ---------------------------------------------------------------------------
 # state encoding: site 1 is the most significant base-local_dim digit,
 # indices are 1-based; a ladder rung (leg1, leg2) is the digit 2 leg1 + leg2
+
+
+def _whole_number(value, what: str) -> int:
+    if isinstance(value, (str, bytes)) or not float(value).is_integer():  # and NaN, inf
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def encode(label, spec: ChainSpec | LadderSpec) -> int:
@@ -93,6 +99,7 @@ def encode(label, spec: ChainSpec | LadderSpec) -> int:
             if leg1 not in (0, 1) or leg2 not in (0, 1):
                 raise ValueError("leg values must be 0 or 1")
             digits.append(2 * leg1 + leg2)
+    digits = [_whole_number(v, "site value") for v in digits]
     if any(not 0 <= v < spec.local_dim for v in digits):
         raise ValueError("site value out of range")
     index = 0
@@ -102,6 +109,7 @@ def encode(label, spec: ChainSpec | LadderSpec) -> int:
 
 
 def decode(index: int, spec: ChainSpec | LadderSpec):
+    index = _whole_number(index, "state index")
     if not 1 <= index <= spec.dim:
         raise ValueError(f"index {index} out of range 1..{spec.dim}")
     value = index - 1
@@ -145,11 +153,9 @@ def _local_chain(spec: ChainSpec | LadderSpec, kernel: np.ndarray, column_sum: f
     entries = embedded_entries(kernel, spec.L, spec.local_dim)
     if kind == "transition":
         np.divide(entries.values, (spec.L - 1) * column_sum, out=entries.values)
-    matrix = entries.dense()
-    matrix.flags.writeable = False  # an in-place write would leave the entries stale
-    chain = MarkovChain(kind=kind, matrix=matrix, spec=spec)
-    chain._entries = entries
-    return chain
+    if not np.isfinite(entries.values).all():  # the sum of finite bond terms can overflow
+        raise ValueError("matrix has non-finite entries")
+    return MarkovChain(kind, entries, spec)
 
 
 def build_an_markov(spec: ChainSpec, kind: str) -> MarkovChain:

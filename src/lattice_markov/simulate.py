@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import MarkovChain, closed_sets, decode, validate
+from .markov import MarkovChain, _whole_number, closed_sets, decode, validate
 from .reporting import DEFAULT_TOL, Tolerance
 
 _CDF_SLACK = 1e-12
@@ -73,10 +73,9 @@ def _jumps(supports, j: int, rate: float) -> tuple[np.ndarray, np.ndarray]:
     matrix with exit rate `rate`: the positive off-diagonal entries of column j
     divided by rate, except those whose quotient underflows to zero."""
     rows, values = _column(supports, j)
-    off = rows != j
-    jump = values[off] / rate
+    jump = values / rate  # q_jj = -rate < 0, so the positive entries are all off-diagonal
     kept = jump != 0.0
-    return rows[off][kept], jump[kept]
+    return rows[kept], jump[kept]
 
 
 def _support_cdf(support: np.ndarray, values: np.ndarray) -> tuple[list[int], list[float]]:
@@ -100,12 +99,6 @@ def _support_cdf(support: np.ndarray, values: np.ndarray) -> tuple[list[int], li
 def _draw(rng: np.random.Generator, states: list[int], cdf: list[float]) -> int:
     """One categorical draw; the samplers inline it in their loops."""
     return states[bisect.bisect_right(cdf, rng.random())]
-
-
-def _whole_number(value, what: str) -> int:
-    if not float(value).is_integer():  # NaN and inf are refused too
-        raise ValueError(f"{what} must be a whole number, got {value!r}")
-    return int(value)
 
 
 def _initial_state(chain: MarkovChain, init) -> int:

@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,3 +287,16 @@ def test_ladder_with_fewer_than_two_rungs_exits_two(verb, flags, capsys):
 def test_verify_ladder_refuses_one_rung(a):
     with pytest.raises(ValueError, match="need at least two rungs"):
         verify.verify_ladder(a, 0.0, 0.0, 1)
+
+
+def test_runtime_imports_numpy_only():
+    """The package and its CLI import no test-only dependency."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, lattice_markov, lattice_markov.cli\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'scipy', 'hypothesis', 'networkx'}))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -38,6 +40,27 @@ def test_encode_errors():
         mk.encode((0, 0, 2), spec)
     with pytest.raises(ValueError):
         mk.decode(9, spec)
+
+
+@pytest.mark.parametrize("spec", [ChainSpec(1, 3),
+                                  mk.LadderSpec(params=mk.LadderParams(16, 0, 0), L=2)],
+                         ids=["an", "ladder"])
+def test_encode_decode_take_whole_numbers_only(spec):
+    label = mk.decode(3, spec)
+    for index in (3.0, np.int64(3), np.float64(3.0)):
+        assert repr(mk.decode(index, spec)) == repr(label)  # int digits, not floats
+    labels = [label, np.asarray(label, dtype=float).tolist(),
+              list(np.asarray(label, dtype=np.int64))]
+    for same in labels:
+        index = mk.encode(same, spec)
+        assert index == 3 and type(index) is int
+    for bad in (2.5, math.nan, math.inf, "3"):
+        with pytest.raises(ValueError, match="state index must be a whole number"):
+            mk.decode(bad, spec)
+    if isinstance(spec, ChainSpec):
+        for bad in ((0.5, 0, 0), (0, math.nan, 0), ("0", "1", "0")):
+            with pytest.raises(ValueError, match="site value must be a whole number"):
+                mk.encode(bad, spec)
 
 
 def test_ladder_encoding_roundtrip():
@@ -83,12 +106,12 @@ def test_transition_chain_stochastic(n, L):
 
 def test_validate_negative_control():
     # positive column sum
-    bad = mk.MarkovChain(kind="intensity", spec=None,
-                         matrix=np.array([[-1.0, 1.0], [2.0, -1.0]]))
+    bad = mk.MarkovChain.from_matrix(kind="intensity", spec=None,
+                                     matrix=np.array([[-1.0, 1.0], [2.0, -1.0]]))
     assert not mk.validate(bad).passed
     # negative off-diagonal rate
-    bad = mk.MarkovChain(kind="intensity", spec=None,
-                         matrix=np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    bad = mk.MarkovChain.from_matrix(kind="intensity", spec=None,
+                                     matrix=np.array([[1.0, -1.0], [-1.0, 1.0]]))
     assert not mk.validate(bad).passed
 
 
@@ -98,8 +121,8 @@ def test_absorbing_states_examples():
     chain = mk.build_an_markov(ChainSpec(2, 2), "transition")
     assert mk.absorbing_states(chain) == [1, 5, 9]
     # state 1 keeps its mass but receives flow from state 2, so only 3 is absorbing
-    chain = mk.MarkovChain(kind="transition", spec=None,
-                           matrix=[[1, .5, 0], [0, .5, 0], [0, 0, 1]])
+    chain = mk.MarkovChain.from_matrix(kind="transition", spec=None,
+                                       matrix=[[1, .5, 0], [0, .5, 0], [0, 0, 1]])
     assert mk.absorbing_states(chain) == [3]
 
 
@@ -133,16 +156,21 @@ def test_closed_sets_chain():
     assert analysis.absorbing == [1, 8]
 
 
+def test_from_matrix_refuses_a_non_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        mk.MarkovChain.from_matrix("transition", np.array([[.5, .5, 1.], [.5, .5, 0.]]))
+
+
 def test_closed_sets_irreducible_two_state():
-    chain = mk.MarkovChain(kind="transition", spec=None,
-                           matrix=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    chain = mk.MarkovChain.from_matrix(kind="transition", spec=None,
+                                       matrix=np.array([[0.0, 1.0], [1.0, 0.0]]))
     analysis = mk.closed_sets(chain)
     assert not analysis.reducible
     assert analysis.closed_sets == [[1, 2]]
 
 
 def test_closed_sets_identity_chain():
-    chain = mk.MarkovChain(kind="transition", spec=None, matrix=np.eye(3))
+    chain = mk.MarkovChain.from_matrix(kind="transition", spec=None, matrix=np.eye(3))
     analysis = mk.closed_sets(chain)
     assert analysis.closed_sets == [[1], [2], [3]]
     assert analysis.absorbing == [1, 2, 3]
@@ -161,7 +189,7 @@ def test_closed_sets_against_reachability_oracle():
             if col[j] == 0:
                 raw[j, j] = 1.0  # isolated state: absorbing
         p = raw / raw.sum(axis=0)
-        chain = mk.MarkovChain(kind="transition", spec=None, matrix=p)
+        chain = mk.MarkovChain.from_matrix(kind="transition", spec=None, matrix=p)
         analysis = mk.closed_sets(chain)
         got = analysis.closed_sets
         reach = (p.T > 1e-12) | np.eye(m, dtype=bool)  # reach[i, j]: i -> j possible
@@ -178,7 +206,7 @@ def test_closed_sets_against_reachability_oracle():
                 if members not in expected:
                     expected.append(members)
         assert got == sorted(expected)
-    empty = mk.MarkovChain(kind="transition", spec=None, matrix=np.zeros((0, 0)))
+    empty = mk.MarkovChain.from_matrix(kind="transition", spec=None, matrix=np.zeros((0, 0)))
     assert mk.closed_sets(empty) == mk.ChainAnalysis([], [], False)
 
 
@@ -230,7 +258,7 @@ def test_stationary_rejects_open_set():
 
 
 def test_stationary_rejects_degenerate_null_space():
-    q = mk.MarkovChain(kind="intensity", spec=None, matrix=np.zeros((2, 2)))
+    q = mk.MarkovChain.from_matrix(kind="intensity", spec=None, matrix=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         mk.stationary_distribution(q, [1, 2])
     # union of the closed sets {1} and {2, 3, 5}: a non-zero block with nullity 2
@@ -276,8 +304,8 @@ def test_spectrum_coincidence():
     q = mk.build_an_markov(spec, "intensity")
     assert mk.spectrum_coincidence(h, p, 0.25, 0.0) < 1e-9
     assert mk.spectrum_coincidence(h, q, 1.0, -4.0) < 1e-9
-    control = mk.MarkovChain(kind="transition", spec=spec,
-                             matrix=np.diag(np.arange(8.0)))
+    control = mk.MarkovChain.from_matrix(kind="transition", spec=spec,
+                                         matrix=np.diag(np.arange(8.0)))
     assert mk.spectrum_coincidence(h, control, 0.25, 0.0) > 0.5
 
 
@@ -321,6 +349,8 @@ _DEGENERATE = "degenerate normalizer: 18 + 4a + 4b + c = 0"
     ((15.0, 0.0, 0.0), "intensity", _NEGATIVE_RATE.format(-1.0)),
     ((0.0, 0.0, -18.0), "transition", _DEGENERATE),
     ((0.0, 0.0, -18.0), "intensity", _DEGENERATE),
+    # a finite kernel whose diagonal terms overflow when the bonds are summed
+    ((1e307, 0.0, 0.0), "intensity", "matrix has non-finite entries"),
 ])
 def test_ladder_markov_sign_and_normaliser_checks(abc, kind, message):
     params = mk.LadderParams(*abc)
@@ -366,19 +396,21 @@ def test_absorbing_states_allocates_no_dense_float_copy():
 
 
 def test_lattice_chain_matrix_is_read_only():
-    """Its entries were built with it: an in-place write would leave them stale."""
-    chain = mk.build_an_markov(ChainSpec(1, 3), "intensity")
-    with pytest.raises(ValueError, match="read-only"):
-        chain.matrix[0, 1] = 1.0
-    matrix = np.eye(3)  # an ad-hoc matrix keeps its flags, and its entries follow it
-    adhoc = mk.MarkovChain(kind="transition", matrix=matrix, spec=None)
-    assert adhoc.matrix is matrix and matrix.flags.writeable
-    matrix[[0, 1]] = matrix[[1, 0]]
-    assert adhoc.entries.rows.tolist() == [1, 0, 2]
-    # a matrix put in place of the built one drops the kernel's entries
-    chain.matrix = np.zeros((8, 8))
-    assert len(chain.entries.values) == 0 and mk.closed_sets(chain).closed_sets == [
-        [s] for s in range(1, 9)]
+    """A chain is its entries: the matrix scattered from them cannot be edited, no
+    field can be reassigned, and an ad-hoc chain reads its matrix once."""
+    matrix = np.eye(3)
+    adhoc = mk.MarkovChain.from_matrix(kind="transition", matrix=matrix, spec=None)
+    for chain in (mk.build_an_markov(ChainSpec(1, 3), "intensity"), adhoc):
+        assert np.array_equal(chain.matrix, chain.entries.dense())
+        with pytest.raises(ValueError, match="read-only"):
+            chain.matrix[0, 1] = 1.0
+        for name, value in (("matrix", np.zeros((8, 8))), ("entries", adhoc.entries),
+                            ("kind", "intensity"), ("spec", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(chain, name, value)
+    matrix[[0, 1]] = matrix[[1, 0]]  # the caller's array, edited after construction
+    assert adhoc.entries.rows.tolist() == [0, 1, 2]
+    assert np.array_equal(adhoc.matrix, np.eye(3)) and matrix.flags.writeable
 
 
 def test_closed_sets_build_no_dense_mask():
@@ -392,6 +424,20 @@ def test_closed_sets_build_no_dense_mask():
     assert analysis.absorbing == mk.absorbing_states_formula(chain.spec)
     assert len(analysis.closed_sets) == 11  # one per number of 1s
     assert peak < chain.num_states ** 2  # the bytes of a dim x dim bool mask (1 MiB)
+
+
+def test_chain_build_and_closed_sets_scatter_no_dense_matrix():
+    spec = ChainSpec(1, 10)
+    tracemalloc.start()
+    try:
+        chain = mk.build_an_markov(spec, "transition")
+        analysis = mk.closed_sets(chain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert analysis.absorbing == mk.absorbing_states_formula(spec)
+    assert peak < spec.dim ** 2  # a dense float64 matrix takes 8 dim^2 bytes (8 MiB)
+    assert "matrix" not in vars(chain)  # not scattered yet
 
 
 def test_ladder_markov_row_flag():

@@ -34,7 +34,7 @@ def test_dtmc_from_absorbing_state_is_constant():
 
 
 def test_dtmc_identity_matrix_constant():
-    chain = MarkovChain(kind="transition", spec=None, matrix=np.eye(4))
+    chain = MarkovChain.from_matrix(kind="transition", spec=None, matrix=np.eye(4))
     traj = sim.simulate_dtmc(chain, 3, 100, seed=0)
     assert set(traj.states) == {3}
 
@@ -69,8 +69,8 @@ def test_ctmc_absorbing_start_holds_forever():
 
 
 def test_ctmc_two_state_symmetric_occupation():
-    q = MarkovChain(kind="intensity", spec=None,
-                    matrix=np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    q = MarkovChain.from_matrix(kind="intensity", spec=None,
+                                matrix=np.array([[-1.0, 1.0], [1.0, -1.0]]))
     traj = sim.simulate_ctmc(q, 1, 4000.0, seed=31)
     occ = sim.empirical_distribution(traj)
     jumps = len(traj.states) - 1
@@ -142,6 +142,20 @@ def test_empirical_distribution_dtmc_burn_in_counts_whole_steps():
     assert np.allclose(sim.empirical_distribution(ctmc, 2.5), [1 / 3, 2 / 3])
     with pytest.raises(ValueError, match="non-negative"):
         sim.empirical_distribution(ctmc, float("nan"))
+
+
+@pytest.mark.parametrize("states, times, message", [
+    ([], None, "at least the initial state"),
+    ([1, 2], [0.0], "align with states"),
+    ([1, 2, 1], [0.0, 1.0, 1.0], "strictly increasing"),
+    ([1, 2, 1], [0.0, 2.0, 1.0], "strictly increasing"),
+    ([1, 2, 1], [0.0, math.inf, math.inf], "strictly increasing"),
+], ids=["empty", "misaligned", "equal", "decreasing", "infinite"])
+def test_trajectory_refuses_malformed_paths(states, times, message):
+    kind = "dtmc" if times is None else "ctmc"
+    with pytest.raises(ValueError, match=message):
+        sim.Trajectory(kind=kind, states=states, times=times, t_max=None, num_states=2,
+                       init=1, seed=0)
 
 
 def test_occupation_summary():
@@ -325,8 +339,8 @@ def test_draw_never_lands_on_zero_probability_state(chain):
 def test_ctmc_rejects_path_that_cannot_advance():
     # state 1 holds for ~1000 time units, state 2 for ~1e-20: once in state 2
     # the float64 clock cannot move, and the sampler says so
-    q = MarkovChain(kind="intensity", spec=None,
-                    matrix=np.array([[-1e-3, 1e20], [1e-3, -1e20]]))
+    q = MarkovChain.from_matrix(kind="intensity", spec=None,
+                                matrix=np.array([[-1e-3, 1e20], [1e-3, -1e20]]))
     with pytest.raises(ValueError, match="cannot advance"):
         sim.simulate_ctmc(q, 1, 1e9, seed=0)
 
@@ -351,9 +365,9 @@ _STRUCTURE_CHAINS = (
                     id=f"ladder_{L}_{a:g}_{b:g}_{c:g}_{name}")
        for L in (2, 3, 4) for a, b, c in ((16.0, 0.0, 0.0), (18.0, 1.0, 0.0), (17.5, 0.25, 2.0))
        for name, kind in _KINDS.items()]
-    + [pytest.param(MarkovChain(kind="intensity", spec=None, matrix=_absorbing_q()),
+    + [pytest.param(MarkovChain.from_matrix(kind="intensity", spec=None, matrix=_absorbing_q()),
                     id="absorbing_Q"),
-       pytest.param(MarkovChain(kind="intensity", spec=None, matrix=_underflow_q()),
+       pytest.param(MarkovChain.from_matrix(kind="intensity", spec=None, matrix=_underflow_q()),
                     id="underflow_Q")])
 
 
@@ -388,7 +402,7 @@ def test_column_supports_equal_the_dense_columns(chain):
 def _same_structure(chain):
     """The chain's kernel-built entries against those read off its dense matrix by
     an ad-hoc chain: the same entries, closed sets and column supports."""
-    adhoc = MarkovChain(kind=chain.kind, matrix=chain.matrix.copy(), spec=None)
+    adhoc = MarkovChain.from_matrix(kind=chain.kind, matrix=chain.matrix.copy(), spec=None)
     for got, want in zip(chain.entries, adhoc.entries):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     assert closed_sets(chain) == closed_sets(adhoc)
@@ -464,8 +478,8 @@ def _dense_route_path(chain, init, horizon, seed):
     (build_ladder_markov(LadderParams(18.0, 1.0, 0.0), 3, "transition"), 40, 3000, 11),
     (build_an_markov(ChainSpec(2, 4), "intensity"), 30, 40.0, 5),
     (build_ladder_markov(LadderParams(17.5, 0.25, 2.0), 4, "intensity"), 200, 2.0, 7),
-    (MarkovChain(kind="intensity", spec=None, matrix=_absorbing_q()), 3, 50.0, 1),
-    (MarkovChain(kind="intensity", spec=None, matrix=_underflow_q()), 1, 20.0, 2),
+    (MarkovChain.from_matrix(kind="intensity", spec=None, matrix=_absorbing_q()), 3, 50.0, 1),
+    (MarkovChain.from_matrix(kind="intensity", spec=None, matrix=_underflow_q()), 1, 20.0, 2),
 ], ids=["an_1_4_P", "ladder_3_P", "an_2_4_Q", "ladder_4_Q", "absorbing_Q", "underflow_Q"])
 def test_paths_equal_the_dense_route(chain, init, horizon, seed):
     if chain.kind == "transition":
