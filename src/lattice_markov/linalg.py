@@ -75,6 +75,12 @@ class Entries(NamedTuple):
         m[self.rows, self.cols] = self.values
         return m
 
+    def diagonal(self) -> np.ndarray:
+        """The matrix's diagonal, 0.0 where no entry sits on it."""
+        d, on = np.zeros(self.dim), self.rows == self.cols
+        d[self.rows[on]] = self.values[on]
+        return d
+
 
 def nonzero_entries(m) -> Entries:
     """The non-zero entries of a square matrix, from one pass over it."""
@@ -87,8 +93,8 @@ def nonzero_entries(m) -> Entries:
 
 
 def _merged(keys: np.ndarray, values: np.ndarray, dim: int) -> Entries:
-    """Entries of the sum of terms at positions keys = col * dim + row; keys and
-    values are sorted in place. Terms at one position are added in the order
+    """Read-only entries of the sum of terms at positions keys = col * dim + row; keys
+    and values are sorted in place. Terms at one position are added in the order
     given, from 0.0, as += would add them; sums that are exactly zero are dropped."""
     order = np.argsort(keys, kind="stable")
     keys[:] = keys[order]  # in place, so that no unsorted copy stays alive
@@ -103,7 +109,10 @@ def _merged(keys: np.ndarray, values: np.ndarray, dim: int) -> Entries:
     del group
     kept = sums != 0.0
     cols, rows = np.divmod(keys[first][kept], dim)
-    return Entries(rows, cols, sums[kept], dim)
+    entries = Entries(rows, cols, sums[kept], dim)
+    for array in entries[:3]:
+        array.flags.writeable = False  # an edit would leave a cached dense matrix stale
+    return entries
 
 
 def embedded_entries(op, L: int, d: int) -> Entries:
@@ -372,25 +381,18 @@ def load_matrix_csv(path) -> np.ndarray:
     return as_matrix(m)
 
 
-def matrix_to_json_dict(a) -> dict:
+def save_matrix_json(a, path) -> None:
     a = as_matrix(a)
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]),
-            "entries": [float(x) for x in a.ravel(order="C")]}
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump({"rows": int(a.shape[0]), "cols": int(a.shape[1]),
+                   "entries": [float(x) for x in a.ravel(order="C")]}, fh)
 
 
-def matrix_from_json_dict(obj) -> np.ndarray:
+def load_matrix_json(path) -> np.ndarray:
+    with open(path, "r", encoding="ascii") as fh:
+        obj = json.load(fh)
     rows, cols = int(obj["rows"]), int(obj["cols"])
     entries = np.asarray(obj["entries"], dtype=float)
     if entries.size != rows * cols:
         raise ValueError("entry count does not match rows*cols")
     return as_matrix(entries.reshape(rows, cols))
-
-
-def save_matrix_json(a, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(matrix_to_json_dict(a), fh)
-
-
-def load_matrix_json(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        return matrix_from_json_dict(json.load(fh))

@@ -49,10 +49,11 @@ class LadderSpec(_LatticeSpec):
 class MarkovChain:
     """A transition or intensity matrix, held as its entries, plus its state encoding.
 
-    The entries, sorted by column, are the chain's one copy of its matrix: a lattice
-    chain's are summed from its kernel, and `from_matrix` reads an ad-hoc matrix's
-    once. `matrix` scatters them into a read-only dense array on first use. spec may
-    be None for ad-hoc matrices that carry no lattice encoding.
+    The read-only entries, sorted by column, are the chain's one copy of its matrix:
+    a lattice chain's are summed from its kernel, and `from_matrix` reads an ad-hoc
+    matrix's once. Structure and sampling read them; `matrix` scatters them into a
+    read-only dense array on first use, for linear algebra and export. spec may be
+    None for ad-hoc matrices that carry no lattice encoding.
     """
 
     kind: str  # "transition" | "intensity"
@@ -137,6 +138,9 @@ def _local_chain(spec: ChainSpec | LadderSpec, kernel: np.ndarray, column_sum: f
     check_dense_size(spec.dim)
     if column_sum == 0.0:  # n + 1 cannot vanish; the ladder's 4 (18 + 4a + 4b + c) can
         raise ValueError("degenerate normalizer: 18 + 4a + 4b + c = 0")
+    normalizer = (spec.L - 1) * column_sum if kind == "transition" else column_sum
+    if not np.isfinite(normalizer):  # huge parameters overflow it, and P would read 0
+        raise ValueError(f"normalizer {normalizer} is not finite")
     if kind == "transition":
         worst = float(kernel.min())
         if worst < 0:
@@ -152,7 +156,8 @@ def _local_chain(spec: ChainSpec | LadderSpec, kernel: np.ndarray, column_sum: f
         raise ValueError("kind must be 'transition' or 'intensity'")
     entries = embedded_entries(kernel, spec.L, spec.local_dim)
     if kind == "transition":
-        np.divide(entries.values, (spec.L - 1) * column_sum, out=entries.values)
+        entries = entries._replace(values=entries.values / normalizer)  # a new array
+        entries.values.flags.writeable = False
     if not np.isfinite(entries.values).all():  # the sum of finite bond terms can overflow
         raise ValueError("matrix has non-finite entries")
     return MarkovChain(kind, entries, spec)
@@ -183,16 +188,17 @@ def validate(chain: MarkovChain, tol: Tolerance = DEFAULT_TOL) -> VerificationRe
 
     Reports the worst entry (off-diagonal for intensity matrices), the
     worst column-sum deviation, and, informationally, whether rows satisfy
-    the same normalization (true for symmetric matrices).
+    the same normalization (true for symmetric matrices). Read from the entries:
+    a column is summed in row order, as numpy sums a dense matrix's columns.
     """
-    m = chain.matrix
+    rows, cols, values, n = chain.entries
     target = 1.0 if chain.kind == "transition" else 0.0
-    col_dev = float(np.max(np.abs(m.sum(axis=0) - target)))
-    row_dev = float(np.max(np.abs(m.sum(axis=1) - target)))
-    if chain.kind == "transition":
-        min_entry = float(m.min())
+    col_dev = float(np.max(np.abs(np.bincount(cols, values, n) - target)))
+    row_dev = float(np.max(np.abs(np.bincount(rows, values, n) - target)))
+    if chain.kind == "transition":  # a position with no entry holds 0.0
+        min_entry = float(values.min(initial=0.0 if len(values) < n * n else np.inf))
     else:
-        min_entry = float(_off_diagonal(m).min(initial=0.0))
+        min_entry = float(values[rows != cols].min(initial=0.0))
     passed = min_entry >= -tol.abs_tol and col_dev <= tol.abs_tol
     return VerificationReport(
         name=f"markov_{chain.kind}",
@@ -204,15 +210,15 @@ def validate(chain: MarkovChain, tol: Tolerance = DEFAULT_TOL) -> VerificationRe
 
 
 def absorbing_states(chain: MarkovChain, tol: Tolerance = DEFAULT_TOL) -> list[int]:
-    """States with unit self-probability and zero coupling to the rest."""
+    """States with unit self-probability and zero coupling to the rest: no
+    off-diagonal entry above tol in their row or column. Read from the entries."""
     if chain.kind != "transition":
         raise ValueError("absorbing-state detection expects a transition matrix")
-    m = chain.matrix
-    off = ~np.eye(len(m), dtype=bool)  # a bool mask, not a float copy of m
-    extrema = [f(axis=axis, where=off, initial=0.0) for f in (m.max, m.min) for axis in (0, 1)]
-    coupling = np.max(np.abs(extrema), axis=0)
-    unit = np.abs(np.diag(m) - 1.0) <= tol.abs_tol
-    return (np.flatnonzero(unit & (coupling <= tol.abs_tol)) + 1).tolist()
+    rows, cols, values, _ = chain.entries
+    absorbing = np.abs(chain.entries.diagonal() - 1.0) <= tol.abs_tol
+    coupling = (rows != cols) & (np.abs(values) > tol.abs_tol)
+    absorbing[rows[coupling]] = absorbing[cols[coupling]] = False
+    return (np.flatnonzero(absorbing) + 1).tolist()
 
 
 def absorbing_states_formula(spec: ChainSpec) -> list[int]:
@@ -283,22 +289,22 @@ def stationary_distribution(chain: MarkovChain, closed_set,
     """
     if chain.kind != "intensity":
         raise ValueError("stationary distributions are computed for intensity matrices")
-    members = sorted(closed_set)
-    if not all(float(s).is_integer() for s in members):  # NaN and inf are refused too
-        raise ValueError("closed set members must be whole state numbers")
-    members = [int(s) for s in members]
+    try:
+        members = sorted(_whole_number(s, "state") for s in closed_set)
+    except ValueError:
+        raise ValueError("closed set members must be whole state numbers") from None
     if not members:
         raise ValueError("closed set is empty")
     if members[0] < 1 or members[-1] > chain.num_states or len(set(members)) < len(members):
         raise ValueError(f"closed set members must be distinct states in 1..{chain.num_states}")
     idx = [s - 1 for s in members]
-    outside = sorted(set(range(chain.num_states)) - set(idx))
-    q = chain.matrix
-    if outside:
-        leak = float(np.abs(q[np.ix_(outside, idx)]).max())
-        if leak > EDGE_THRESHOLD:
-            raise ValueError(f"set is not closed: outgoing rate {leak}")
-    sub = q[np.ix_(idx, idx)]
+    rows, cols, values, n = chain.entries
+    inside = np.zeros(n, dtype=bool)
+    inside[idx] = True
+    leak = float(np.abs(values[inside[cols] & ~inside[rows]]).max(initial=0.0))
+    if leak > EDGE_THRESHOLD:
+        raise ValueError(f"set is not closed: outgoing rate {leak}")
+    sub = chain.matrix[np.ix_(idx, idx)]
     vec = _null_space_1d(sub, tol.abs_tol)
     total = vec.sum()
     if abs(total) < tol.abs_tol:

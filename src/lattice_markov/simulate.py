@@ -6,9 +6,9 @@ trajectories on every platform. Categorical draws use inverse-CDF lookup
 over Kahan-compensated cumulative sums built over the support of the
 state's column (its positive entries only), so no draw can land on a
 zero-probability state; the last support entry absorbs rounding slack up
-to 1e-12. Each path takes the positive entries of each column from the
-chain's sorted entries (`_column_supports`), not from a scan of the dense
-matrix, so a first visit costs O(support) of the state's column.
+to 1e-12. A path reads the chain only through its sorted entries: the positive
+entries of each column (`_column_supports`) and the exit rates on the diagonal,
+so no dense matrix is built and a first visit costs O(support) of its column.
 """
 
 from __future__ import annotations
@@ -62,24 +62,18 @@ def _column_supports(chain: MarkovChain) -> tuple[np.ndarray, np.ndarray, np.nda
     return rows[positive], values[positive], np.searchsorted(cols[positive], np.arange(dim + 1))
 
 
-def _column(supports, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """0-based rows and values of the positive entries of column j (0-based)."""
-    rows, values, ptr = supports
-    return rows[ptr[j]:ptr[j + 1]], values[ptr[j]:ptr[j + 1]]
-
-
 def _jumps(supports, j: int, rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Jump targets (0-based) and probabilities out of state j of an intensity
-    matrix with exit rate `rate`: the positive off-diagonal entries of column j
-    divided by rate, except those whose quotient underflows to zero."""
-    rows, values = _column(supports, j)
-    jump = values / rate  # q_jj = -rate < 0, so the positive entries are all off-diagonal
+    """Jump targets (0-based) and probabilities out of state j: the positive entries
+    of column j divided by rate, but for quotients that underflow to zero. A transition
+    matrix jumps at rate 1.0; an intensity matrix at -q_jj > 0, off the diagonal."""
+    rows, values, ptr = supports
+    jump = values[ptr[j]:ptr[j + 1]] / rate
     kept = jump != 0.0
-    return rows[kept], jump[kept]
+    return rows[ptr[j]:ptr[j + 1]][kept], jump[kept]
 
 
 def _support_cdf(support: np.ndarray, values: np.ndarray) -> tuple[list[int], list[float]]:
-    """States (1-based) of a jump law's support, from `_column` or `_jumps`, and the
+    """States (1-based) of a jump law's support, from `_jumps`, and the
     Kahan-compensated CDF of its positive probabilities; its last entry is exactly 1."""
     total = 0.0
     comp = 0.0
@@ -102,6 +96,10 @@ def _draw(rng: np.random.Generator, states: list[int], cdf: list[float]) -> int:
 
 
 def _initial_state(chain: MarkovChain, init) -> int:
+    """init as a state of the chain, once the chain has passed `validate`."""
+    report = validate(chain)
+    if not report.passed:
+        raise ValueError(f"invalid {chain.kind} matrix: {report.residuals}")
     init = _whole_number(init, "initial state")
     if not 1 <= init <= chain.num_states:
         raise ValueError(f"initial state {init} out of range")
@@ -112,9 +110,6 @@ def simulate_dtmc(chain: MarkovChain, init: int, steps: int, seed: int) -> Traje
     """Sample a discrete-time path of the given length from a transition matrix."""
     if chain.kind != "transition":
         raise ValueError("discrete-time simulation needs a transition matrix")
-    report = validate(chain)
-    if not report.passed:
-        raise ValueError(f"invalid transition matrix: {report.residuals}")
     init = _initial_state(chain, init)
     steps = _whole_number(steps, "steps")
     if steps < 0:
@@ -129,7 +124,7 @@ def simulate_dtmc(chain: MarkovChain, init: int, steps: int, seed: int) -> Traje
     for start in range(0, steps, _UNIFORM_CHUNK):
         for u in rng.random(min(_UNIFORM_CHUNK, steps - start)).tolist():
             if current not in cdf_cache:
-                cdf_cache[current] = _support_cdf(*_column(supports, current - 1))
+                cdf_cache[current] = _support_cdf(*_jumps(supports, current - 1, 1.0))
             targets, cdf = cdf_cache[current]
             current = targets[bisect.bisect_right(cdf, u)]
             states.append(current)
@@ -147,13 +142,11 @@ def simulate_ctmc(chain: MarkovChain, init: int, t_max: float, seed: int,
     """
     if chain.kind != "intensity":
         raise ValueError("continuous-time simulation needs an intensity matrix")
-    report = validate(chain)
-    if not report.passed:
-        raise ValueError(f"invalid intensity matrix: {report.residuals}")
     init = _initial_state(chain, init)
     if not 0 < t_max < math.inf:  # a NaN or infinite horizon is never reached
         raise ValueError("t_max must be finite and positive")
     supports = _column_supports(chain)
+    rates = -chain.entries.diagonal()  # exit rates -q_jj
     rng = _rng(seed)
     # looked up once: the loop below runs once per event
     exponential, uniform, bisect_right = rng.standard_exponential, rng.random, bisect.bisect_right
@@ -165,7 +158,7 @@ def simulate_ctmc(chain: MarkovChain, init: int, t_max: float, seed: int,
     cdf_cache: dict[int, tuple[float, list[int], list[float]]] = {}
     while True:
         if current not in cdf_cache:
-            rate = -float(chain.matrix[current - 1, current - 1])
+            rate = float(rates[current - 1])
             if rate <= tol.abs_tol:
                 cdf_cache[current] = (0.0, [], [])
             else:

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import embedded_sum, frobenius_norm, invariance_residual, kron
+from .linalg import as_matrix, embedded_sum, frobenius_norm, invariance_residual, kron
 from .braid_tl import TLElement
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 
@@ -121,10 +121,9 @@ _TABLE_PRODUCTS = _table_products()  # read-only after import
 
 
 def _assemble(coeffs: dict[tuple[int, int, int], Fraction], scale: int) -> np.ndarray:
-    out = np.zeros((16, 16))
-    for ijk in PRODUCT_INDICES:
-        out = out + float(coeffs[ijk] * scale) * _TABLE_PRODUCTS[ijk]
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):  # as_matrix refuses an overflow
+        return as_matrix(sum((float(coeffs[ijk] * scale) * _TABLE_PRODUCTS[ijk]
+                              for ijk in PRODUCT_INDICES), np.zeros((16, 16))))
 
 
 def h0_coefficients(d, f) -> dict[tuple[int, int, int], Fraction]:

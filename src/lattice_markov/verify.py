@@ -23,7 +23,6 @@ def verify_an(n: int, L: int, tol: Tolerance = DEFAULT_TOL) -> list[Verification
     """Full certification of the rank-n chain stack at L sites."""
     checks: list[VerificationReport] = []
     rep = an_algebra.fundamental_rep(n)
-    d = n + 1
 
     diff = frobenius_norm(an_algebra.delta_casimir_sum(n) - an_algebra.delta_casimir_indexed(n))
     checks.append(VerificationReport.from_residuals(
@@ -168,7 +167,6 @@ def verify_ladder(a: float, b: float, c: float, L: int = 2,
         p_chain = markov.build_ladder_markov(params, L, "transition")
         checks.append(markov.validate(p_chain, tol))
         detected = markov.absorbing_states(p_chain, tol)
-        del p_chain  # so that one dense chain is held at a time
         checks.append(VerificationReport.from_residuals(
             "ladder_no_absorbing", {"count": float(len(detected))}, 0.5, detected=detected))
         checks.append(markov.validate(markov.build_ladder_markov(params, L, "intensity"), tol))

@@ -81,6 +81,19 @@ def test_guard_violation_exit_two(capsys):
     assert "guard" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["markov", "ladder", "--L", "2", "--a", "1e308", "--kind", "P"],
+    ["markov", "ladder", "--L", "2", "--a", "1e308", "--kind", "Q"],
+    ["verify", "ladder", "--L", "3", "--a", "1e307"],
+], ids=["markov_P", "markov_Q", "verify"])
+def test_overflowing_ladder_parameters_exit_two(args, capsys):
+    """Parameters too large for float64 are a usage error: one error line, no
+    traceback, no numpy warning, and no chain of spurious absorbing states."""
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_memory_error_exit_two(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 128. MiB")

@@ -5,10 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lattice_markov import markov as mk
 from lattice_markov.lattice_an import ChainSpec, hamiltonian
 from lattice_markov.linalg import intensity_exp
+from lattice_markov.reporting import Tolerance
 
 SWAP4 = np.array([[1, 0, 0, 0],
                   [0, 0, 1, 0],
@@ -257,6 +261,16 @@ def test_stationary_rejects_open_set():
         mk.stationary_distribution(q, [2, 3])  # leaks into 5
 
 
+def test_stationary_checks_the_flow_out_of_the_set():
+    """Closedness is about flow leaving the set: state 1 keeps what 2 and 3 send it."""
+    q = mk.MarkovChain.from_matrix(kind="intensity", matrix=[[0.0, 1.0, 0.5],
+                                                             [0.0, -2.0, 0.5],
+                                                             [0.0, 1.0, -1.0]])
+    assert mk.stationary_distribution(q, [1]).tolist() == [1.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="not closed: outgoing rate 1.0"):
+        mk.stationary_distribution(q, [2, 3])
+
+
 def test_stationary_rejects_degenerate_null_space():
     q = mk.MarkovChain.from_matrix(kind="intensity", spec=None, matrix=np.zeros((2, 2)))
     with pytest.raises(ValueError):
@@ -267,7 +281,8 @@ def test_stationary_rejects_degenerate_null_space():
         mk.stationary_distribution(q, [1, 2, 3, 5])
 
 
-@pytest.mark.parametrize("members", [[2.9, 3.5, 5.2], [2, 3, 5.5], [2, 3, float("nan")]])
+@pytest.mark.parametrize("members", [[2.9, 3.5, 5.2], [2, 3, 5.5], [2, 3, float("nan")],
+                                     ["2", "3", "5"], ["10", "2"], [b"2", b"3", b"5"]])
 def test_stationary_rejects_fractional_members(members):
     q = mk.build_an_markov(ChainSpec(1, 3), "intensity")
     with pytest.raises(ValueError, match="whole state numbers"):
@@ -338,6 +353,7 @@ def test_ladder_markov_rejects_bad_parameters():
 _NEGATIVE_ENTRY = "parameters outside the non-negativity region (min entry value {})"
 _NEGATIVE_RATE = "parameters give a negative off-diagonal rate (min off-diagonal value {})"
 _DEGENERATE = "degenerate normalizer: 18 + 4a + 4b + c = 0"
+_OVERFLOW = "normalizer inf is not finite"
 
 
 @pytest.mark.parametrize("abc,kind,message", [
@@ -351,6 +367,9 @@ _DEGENERATE = "degenerate normalizer: 18 + 4a + 4b + c = 0"
     ((0.0, 0.0, -18.0), "intensity", _DEGENERATE),
     # a finite kernel whose diagonal terms overflow when the bonds are summed
     ((1e307, 0.0, 0.0), "intensity", "matrix has non-finite entries"),
+    # normalizers that overflow: (L-1) 4 (18 + 4a + 4b + c) for P, 4 (18 + 4a + 4b + c) for Q
+    ((1e307, 0.0, 0.0), "transition", _OVERFLOW),
+    ((1e308, 0.0, 0.0), "intensity", _OVERFLOW),
 ])
 def test_ladder_markov_sign_and_normaliser_checks(abc, kind, message):
     params = mk.LadderParams(*abc)
@@ -382,6 +401,78 @@ def test_validate_intensity_allocates_no_dense_temporary():
     assert peak < dense_bytes / 16
 
 
+def _dense_validate(chain, tol):
+    """validate as it read the dense matrix: residuals and verdict."""
+    m = chain.matrix
+    target = 1.0 if chain.kind == "transition" else 0.0
+    col_dev = float(np.max(np.abs(m.sum(axis=0) - target)))
+    if chain.kind == "transition":
+        min_entry = float(m.min())
+    else:
+        min_entry = float(m[~np.eye(len(m), dtype=bool)].min(initial=0.0))
+    return ({"min_entry": min_entry, "column_sum_deviation": col_dev},
+            min_entry >= -tol.abs_tol and col_dev <= tol.abs_tol)
+
+
+def _dense_absorbing_states(chain, tol):
+    """absorbing_states as it read the dense matrix."""
+    m = chain.matrix
+    off = ~np.eye(len(m), dtype=bool)
+    extrema = [f(axis=axis, where=off, initial=0.0) for f in (m.max, m.min) for axis in (0, 1)]
+    coupling = np.max(np.abs(extrema), axis=0)
+    unit = np.abs(np.diag(m) - 1.0) <= tol.abs_tol
+    return (np.flatnonzero(unit & (coupling <= tol.abs_tol)) + 1).tolist()
+
+
+# zeros, ordinary values of either sign, and tiny and subnormal ones
+_SPECIAL = st.sampled_from([5e-324, -5e-324, 1e-310, 1e-12, -1e-12, 1e-10, 1.0, -1.0])
+_ENTRY = st.one_of(st.just(0.0), _SPECIAL, st.floats(-1e3, 1e3), st.floats(0.0, 1.0))
+_TOLERANCES = [Tolerance(abs_tol=t) for t in (0.0, 1e-10, 1e-3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_structure_from_entries_equals_the_dense_reference(data):
+    """validate and absorbing_states read from the entries agree bit for bit with
+    the dense reductions they replace, on matrices with holes or none, absorbing
+    states with tiny or no coupling, and columns normalised or not."""
+    n = data.draw(st.integers(1, 14), label="states")
+    entry = _ENTRY if data.draw(st.booleans(), label="holes") else _ENTRY.filter(bool)
+    m = data.draw(hnp.arrays(np.float64, (n, n), elements=entry), label="matrix")
+    normalise = data.draw(st.sampled_from([None, "transition", "intensity"]), label="normalise")
+    if normalise == "transition":
+        sums = m.sum(axis=0)
+        large = np.abs(sums) > 1e-3
+        m[:, large] /= sums[large]
+    elif normalise == "intensity":
+        np.fill_diagonal(m, 0.0)
+        np.fill_diagonal(m, -m.sum(axis=0))
+    absorbed = st.tuples(st.integers(0, n - 1), st.sampled_from([1.0, 1.0 + 1e-11, 1.0 - 1e-4]),
+                         st.sampled_from([0.0, 5e-324, 1e-11, -1e-11, 1e-4]))
+    for j, diagonal, leak in data.draw(st.lists(absorbed, max_size=n), label="absorbed"):
+        m[:, j] = m[j, :] = 0.0
+        m[j, j] = diagonal
+        m[(j + 1) % n, j] += leak
+    symmetric = data.draw(st.booleans(), label="symmetric")
+    if symmetric:
+        m = np.triu(m) + np.triu(m, 1).T
+    for kind in ("transition", "intensity"):
+        for tol in _TOLERANCES:
+            chain = mk.MarkovChain.from_matrix(kind=kind, matrix=m)
+            report = mk.validate(chain, tol)
+            if kind == "transition":
+                absorbing = mk.absorbing_states(chain, tol)
+            assert "matrix" not in vars(chain)
+            residuals, passed = _dense_validate(chain, tol)
+            assert {k: v.hex() for k, v in report.residuals.items()} == \
+                {k: v.hex() for k, v in residuals.items()}
+            assert report.passed == passed
+            if kind == "transition":
+                assert absorbing == _dense_absorbing_states(chain, tol)
+            if symmetric:
+                assert report.info["row_sum_deviation"] == report.residuals["column_sum_deviation"]
+
+
 def test_absorbing_states_allocates_no_dense_float_copy():
     chain = mk.build_an_markov(ChainSpec(1, 10), "transition")
     dense_bytes = chain.matrix.nbytes  # 8 MiB at dim 1024; the off-diagonal mask is 1 MiB
@@ -393,6 +484,21 @@ def test_absorbing_states_allocates_no_dense_float_copy():
         tracemalloc.stop()
     assert absorbing == mk.absorbing_states_formula(chain.spec)
     assert peak < dense_bytes / 4
+
+
+@pytest.mark.parametrize("chain", [
+    mk.build_an_markov(ChainSpec(1, 3), "transition"),
+    mk.build_ladder_markov(mk.LadderParams(16.0, 0.0, 0.0), 2, "intensity"),
+    mk.MarkovChain.from_matrix(kind="transition", matrix=np.eye(3)),
+], ids=["an_P", "ladder_Q", "adhoc"])
+def test_chain_entries_are_read_only(chain):
+    """An edit of the entries would leave the cached matrix stale while closed sets
+    and the samplers read the edit, so the entries refuse it."""
+    before = chain.matrix.copy()
+    for array in chain.entries[:3]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 2
+    assert np.array_equal(chain.entries.dense(), before) and chain.entries.dense().flags.writeable
 
 
 def test_lattice_chain_matrix_is_read_only():

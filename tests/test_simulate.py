@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from lattice_markov import simulate as sim
 from lattice_markov.lattice_an import ChainSpec
-from lattice_markov.markov import (LadderParams, MarkovChain, build_an_markov,
-                                   build_ladder_markov, closed_sets, encode)
+from lattice_markov.markov import (LadderParams, MarkovChain, absorbing_states, build_an_markov,
+                                   build_ladder_markov, closed_sets, encode, validate)
 from lattice_markov.reporting import DEFAULT_TOL
 
 
@@ -327,8 +327,8 @@ def test_draw_never_lands_on_zero_probability_state(chain):
         if chain.kind == "intensity":
             column[j] = 0.0
             column /= -m[j, j]
-        states, cdf = sim._support_cdf(*(sim._column(supports, j) if chain.kind == "transition"
-                                         else sim._jumps(supports, j, -m[j, j])))
+        states, cdf = sim._support_cdf(*sim._jumps(
+            supports, j, 1.0 if chain.kind == "transition" else -m[j, j]))
         assert cdf[-1] == 1.0
         assert column[states[-1] - 1] > 0.0
         assert column[np.asarray(states) - 1].min() > 0.0
@@ -387,7 +387,7 @@ def test_column_supports_equal_the_dense_columns(chain):
     m = chain.matrix
     supports = sim._column_supports(chain)
     for j in range(chain.num_states):
-        rows, values = sim._column(supports, j)
+        rows, values = sim._jumps(supports, j, 1.0)
         dense = np.flatnonzero(np.clip(m[:, j], 0.0, None))
         assert np.array_equal(rows, dense) and values.tobytes() == m[dense, j].tobytes()
         if chain.kind == "intensity" and -m[j, j] > DEFAULT_TOL.abs_tol:  # else absorbing
@@ -395,7 +395,7 @@ def test_column_supports_equal_the_dense_columns(chain):
             assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
     # the subnormal entry is in state 1's column but not among its jumps
     if m[1, 0] == 5e-324:
-        assert sim._column(supports, 0)[0].tolist() == [1, 2]
+        assert sim._jumps(supports, 0, 1.0)[0].tolist() == [1, 2]
         assert sim._jumps(supports, 0, 2.0)[0].tolist() == [2]
 
 
@@ -506,6 +506,28 @@ def test_dtmc_draws_uniforms_in_chunks(monkeypatch):
     traj = sim.simulate_dtmc(chain, 8, steps, seed=3)
     assert len(traj.states) == steps + 1
     assert calls == [sim._UNIFORM_CHUNK, sim._UNIFORM_CHUNK, 7]
+
+
+@pytest.mark.parametrize("kind", ["transition", "intensity"])
+def test_structure_and_sampling_scatter_no_dense_matrix(kind):
+    """validate, absorbing_states and both samplers read only the chain's entries: none
+    peaks at the bytes of a dim x dim bool mask, let alone a float matrix (8 dim^2)."""
+    chain = build_an_markov(ChainSpec(1, 10), kind)
+    calls = [lambda: validate(chain)]
+    if kind == "transition":
+        calls += [lambda: absorbing_states(chain),
+                  lambda: sim.simulate_dtmc(chain, 2, 2_000, seed=5)]
+    else:
+        calls += [lambda: sim.simulate_ctmc(chain, 2, 50.0, seed=5)]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < chain.num_states ** 2  # 1 MiB at dim 1024
+        assert "matrix" not in vars(chain)
 
 
 @pytest.mark.parametrize("init", [2.0, np.int64(2), np.float64(2.0)],
