@@ -343,6 +343,8 @@ def _uniformized(block: np.ndarray, t: float, tol: Tolerance) -> np.ndarray:
     if lam == 0.0 or t == 0.0:
         return np.eye(len(block))
     mu, squarings = lam * t, 0
+    if mu == math.inf:  # halving would never bring it below 500
+        raise ValueError(f"rate {lam} times time {t} overflows float64")
     while mu > 500.0:  # halve the horizon to keep exp(-mu) above underflow
         mu, squarings = mu / 2.0, squarings + 1
     # clip roundoff-negative entries only

@@ -1,14 +1,21 @@
 """Trajectory sampling for the discrete- and continuous-time chains.
 
-Randomness comes from a counter-based Philox generator seeded per
+Randomness comes from counter-based Philox generators seeded per
 trajectory, so identical (chain, init, seed) inputs reproduce identical
-trajectories on every platform. Categorical draws use inverse-CDF lookup
-over Kahan-compensated cumulative sums built over the support of the
-state's column (its positive entries only), so no draw can land on a
-zero-probability state; the last support entry absorbs rounding slack up
-to 1e-12. A path reads the chain only through its sorted entries: the positive
-entries of each column (`_column_supports`) and the exit rates on the diagonal,
-so no dense matrix is built and a first visit costs O(support) of its column.
+trajectories on every platform. A discrete path draws its uniforms from
+Philox(seed); a continuous path draws its holding times from Philox(seed)
+and its jump uniforms from Philox(seed).jumped(), a second stream 2**128
+draws ahead. Each stream is drawn in fixed chunks, which gives the same
+doubles as one draw at a time, so a path does not depend on the chunk.
+
+Categorical draws use inverse-CDF lookup over Kahan-compensated cumulative
+sums built over the support of the state's column (its positive entries
+only), so no draw can land on a zero-probability state; the last support
+entry absorbs rounding slack up to 1e-12. A path reads the chain only
+through its sorted entries: the positive entries of each column
+(`_column_supports`) and the exit rates on the diagonal, so no dense matrix
+is built. The jump laws of all columns are built once per path, in one
+vectorised pass (`_jump_laws`); a first visit only slices its column.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from .markov import MarkovChain, _whole_number, closed_sets, decode, validate
 from .reporting import DEFAULT_TOL, Tolerance
 
 _CDF_SLACK = 1e-12
-_UNIFORM_CHUNK = 1024  # DTMC uniforms drawn per rng call
+_UNIFORM_CHUNK = 1024  # values drawn per rng call, per stream
 
 
 @dataclass
@@ -53,6 +60,12 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _chunked(draw):
+    """The values of draw(size), drawn _UNIFORM_CHUNK at a time, one by one."""
+    while True:
+        yield from draw(_UNIFORM_CHUNK).tolist()
+
+
 def _column_supports(chain: MarkovChain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The positive entries of the chain's matrix grouped by column, read from its
     entries: 0-based rows (ascending within each column), their values, and
@@ -62,37 +75,45 @@ def _column_supports(chain: MarkovChain) -> tuple[np.ndarray, np.ndarray, np.nda
     return rows[positive], values[positive], np.searchsorted(cols[positive], np.arange(dim + 1))
 
 
-def _jumps(supports, j: int, rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Jump targets (0-based) and probabilities out of state j: the positive entries
-    of column j divided by rate, but for quotients that underflow to zero. A transition
-    matrix jumps at rate 1.0; an intensity matrix at -q_jj > 0, off the diagonal."""
-    rows, values, ptr = supports
-    jump = values[ptr[j]:ptr[j + 1]] / rate
-    kept = jump != 0.0
-    return rows[ptr[j]:ptr[j + 1]][kept], jump[kept]
+def _jump_laws(chain: MarkovChain, rates: np.ndarray | None = None):
+    """The jump law of every column, built in one pass: law_of(j) gives the states
+    (1-based) that state j + 1 jumps to and the Kahan-compensated CDF of their
+    probabilities, whose last entry is exactly 1.
 
+    The probabilities are the positive entries of column j divided by rates[j], but
+    for quotients that underflow to zero; without rates they are the entries. Kahan
+    runs over all columns in lockstep, with the float64 operations of a scalar loop
+    in the same order. A column whose mass is not 1 raises only when law_of(j) is asked.
+    """
+    rows, law, ptr = _column_supports(chain)  # law: the probabilities, then the CDF
+    if rates is not None:
+        law /= np.repeat(rates, np.diff(ptr))
+        kept = law != 0.0
+        if not kept.all():
+            rows, law = rows[kept], law[kept]
+            ptr = np.concatenate(([0], np.cumsum(kept)))[ptr]
+    lengths = np.diff(ptr)
+    mass, comp = np.zeros(len(lengths)), np.zeros(len(lengths))
+    for k in range(lengths.max(initial=0)):
+        j = np.flatnonzero(lengths > k)  # the columns whose k-th entry is next
+        at = ptr[j] + k
+        y = law[at] - comp[j]
+        t = mass[j] + y
+        comp[j] = (t - mass[j]) - y
+        mass[j] = t
+        law[at] = t
+    rows += 1  # the states, 1-based
+    bounds = ptr.tolist()
 
-def _support_cdf(support: np.ndarray, values: np.ndarray) -> tuple[list[int], list[float]]:
-    """States (1-based) of a jump law's support, from `_jumps`, and the
-    Kahan-compensated CDF of its positive probabilities; its last entry is exactly 1."""
-    total = 0.0
-    comp = 0.0
-    cdf = []
-    for p in values.tolist():
-        y = p - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        cdf.append(total)
-    if abs(total - 1.0) > _CDF_SLACK:
-        raise ValueError(f"column mass {total} is not 1 within {_CDF_SLACK}")
-    cdf[-1] = 1.0
-    return (support + 1).tolist(), cdf
+    def law_of(j: int) -> tuple[list[int], list[float]]:
+        if abs(mass[j] - 1.0) > _CDF_SLACK:
+            raise ValueError(f"column mass {float(mass[j])} is not 1 within {_CDF_SLACK}")
+        lo, hi = bounds[j], bounds[j + 1]
+        cdf = law[lo:hi].tolist()
+        cdf[-1] = 1.0
+        return rows[lo:hi].tolist(), cdf
 
-
-def _draw(rng: np.random.Generator, states: list[int], cdf: list[float]) -> int:
-    """One categorical draw; the samplers inline it in their loops."""
-    return states[bisect.bisect_right(cdf, rng.random())]
+    return law_of
 
 
 def _initial_state(chain: MarkovChain, init) -> int:
@@ -114,7 +135,7 @@ def simulate_dtmc(chain: MarkovChain, init: int, steps: int, seed: int) -> Traje
     steps = _whole_number(steps, "steps")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    supports = _column_supports(chain)
+    law_of = _jump_laws(chain)
     rng = _rng(seed)
     cdf_cache: dict[int, tuple[list[int], list[float]]] = {}
     states = [init]
@@ -124,7 +145,7 @@ def simulate_dtmc(chain: MarkovChain, init: int, steps: int, seed: int) -> Traje
     for start in range(0, steps, _UNIFORM_CHUNK):
         for u in rng.random(min(_UNIFORM_CHUNK, steps - start)).tolist():
             if current not in cdf_cache:
-                cdf_cache[current] = _support_cdf(*_jumps(supports, current - 1, 1.0))
+                cdf_cache[current] = law_of(current - 1)
             targets, cdf = cdf_cache[current]
             current = targets[bisect.bisect_right(cdf, u)]
             states.append(current)
@@ -145,37 +166,37 @@ def simulate_ctmc(chain: MarkovChain, init: int, t_max: float, seed: int,
     init = _initial_state(chain, init)
     if not 0 < t_max < math.inf:  # a NaN or infinite horizon is never reached
         raise ValueError("t_max must be finite and positive")
-    supports = _column_supports(chain)
     rates = -chain.entries.diagonal()  # exit rates -q_jj
-    rng = _rng(seed)
-    # looked up once: the loop below runs once per event
-    exponential, uniform, bisect_right = rng.standard_exponential, rng.random, bisect.bisect_right
+    absorbing = rates <= tol.abs_tol
+    law_of = _jump_laws(chain, np.where(absorbing, 1.0, rates))
+    # holding times and jump uniforms come from two streams, each drawn in chunks
+    bits = np.random.Philox(seed)
+    holds = _chunked(np.random.Generator(bits).standard_exponential)
+    uniforms = _chunked(np.random.Generator(bits.jumped()).random)
+    bisect_right = bisect.bisect_right  # looked up once: the loop runs once per event
     states = [init]
     times = [0.0]
     current = init
     t = 0.0
     # per state: the mean holding time 1 / rate (0.0 if absorbing), jump targets, CDF
     cdf_cache: dict[int, tuple[float, list[int], list[float]]] = {}
-    while True:
+    for hold, u in zip(holds, uniforms):
         if current not in cdf_cache:
-            rate = float(rates[current - 1])
-            if rate <= tol.abs_tol:
-                cdf_cache[current] = (0.0, [], [])
-            else:
-                cdf_cache[current] = (1.0 / rate,
-                                      *_support_cdf(*_jumps(supports, current - 1, rate)))
+            j = current - 1
+            cdf_cache[current] = ((0.0, [], []) if absorbing[j]
+                                  else (1.0 / float(rates[j]), *law_of(j)))
         scale, targets, cdf = cdf_cache[current]
         if scale == 0.0:
             break  # absorbing: holds forever
         # numpy draws exponential(scale) as scale * standard_exponential()
-        t_next = t + exponential() * scale
+        t_next = t + hold * scale
         if t_next >= t_max:
             break
         if t_next == t:
             raise ValueError(f"holding time in state {current} vanishes at t={t}: "
                              "the path cannot advance in float64")
         t = t_next
-        current = targets[bisect_right(cdf, uniform())]
+        current = targets[bisect_right(cdf, u)]
         states.append(current)
         times.append(t)
     return Trajectory(kind="ctmc", states=states, times=times, t_max=t_max,

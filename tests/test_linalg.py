@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,6 +416,27 @@ def test_intensity_exp_rejects_non_finite_time():
     for t in (math.inf, math.nan, -0.5):
         with pytest.raises(ValueError, match="time must be finite and non-negative"):
             linalg.intensity_exp(q, t)
+
+
+_OVERFLOWING_HORIZON = """
+import numpy as np
+from lattice_markov import linalg
+try:
+    linalg.intensity_exp(np.array([[-1e200, 1e200], [1e200, -1e200]]), 1e200)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_intensity_exp_rejects_rate_times_time_that_overflows():
+    # in a child process, so that a series that never starts fails by timeout
+    # instead of hanging the suite
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", _OVERFLOWING_HORIZON], capture_output=True,
+                           text=True, timeout=30, env=env)
+    assert child.returncode == 0
+    assert child.stdout == "rate 1e+200 times time 1e+200 overflows float64\n"
 
 
 def _digit_sectors(n, L):

@@ -1,6 +1,8 @@
+import bisect
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from lattice_markov import simulate as sim
 from lattice_markov.lattice_an import ChainSpec
@@ -82,14 +85,21 @@ def test_ctmc_two_state_symmetric_occupation():
 def test_ctmc_uniform_on_closed_sector():
     chain = build_an_markov(ChainSpec(1, 4), "intensity")
     # sector of one occupied site: states (0,0,0,1)... encode to {2,3,5,9}
-    traj = sim.simulate_ctmc(chain, 2, 3000.0, seed=17)
+    t_max = 3000.0
+    traj = sim.simulate_ctmc(chain, 2, t_max, seed=17)
     assert set(traj.states) == {2, 3, 5, 9}
     occ = sim.empirical_distribution(traj)
-    jumps = len(traj.states) - 1
+    # a time average over the window after the 10% burn-in has the CLT variance
+    # 2 pi_s D_ss / window, where D = (Pi - Q_S)^-1 - Pi is the deviation matrix of
+    # the sector's generator Q_S and Pi holds the uniform law in every column
+    sector = [1, 2, 4, 8]
     p = 0.25
-    sigma = math.sqrt(p * (1 - p) / jumps)
-    for s in (2, 3, 5, 9):
-        assert abs(occ[s - 1] - p) < 3.0 * sigma
+    pi = np.full((4, 4), p)
+    deviation = np.linalg.inv(pi - chain.matrix[np.ix_(sector, sector)]) - pi
+    window = 0.9 * t_max
+    for k, s in enumerate(sector):
+        sigma = math.sqrt(2.0 * p * deviation[k, k] / window)
+        assert abs(occ[s] - p) < 3.0 * sigma
 
 
 def test_empirical_distribution_point_mass_and_alternation():
@@ -245,12 +255,12 @@ GOLDEN_PATHS = [
      "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91"),
     (lambda: sim.simulate_ctmc(build_an_markov(ChainSpec(2, 6), "intensity"),
                                encode((0, 1, 2, 2, 1, 0), ChainSpec(2, 6)), 40.0, seed=77),
-     459, "1caf71f4d9cb051526519ffddba0febfcd55889353db6f11db7a1e6d62b55889",
-     "4b13a2001bfc6817ee995ffd49e3e5db99f3dfbf6d68b87b001bae4826bd26e7"),
+     480, "f5c23cd19e8eaa6651e75e920ddd5f3efd2bb03d79103334505ac5927490be67",
+     "cc0c15c0b0fbfd1a9f0d98f637e168094dc9a89403b49d364b52f90715a90e2f"),
     (lambda: sim.simulate_ctmc(build_ladder_markov(LadderParams(18.0, 1.0, 0.0), 4, "intensity"),
                                37, 5.0, seed=5),
-     4518, "067c3743edb7702380e93cfb8704e3cdbca32edf5e1c5c81de157683b490c315",
-     "7ef0a7bb496eda34ef1348ab79bbad9e9276f1b8453ebb7407a17e951665937f"),
+     4538, "e2ab72c5126ee6d26a4ce1915eceeb2a2f0509dbd1dc2665d4fba1ce67784631",
+     "9ce49b49312210d7dd295e5c5ab252b2485c85d814b882b26781ed063ef15cfa"),
     (lambda: sim.simulate_dtmc(build_ladder_markov(LadderParams(16.0, 0.0, 0.0), 3, "transition"),
                                11, 5000, seed=31),
      5001, "787eb3999c6e07250993be02753efb66400c8830d929ce8c633ec5c335c7916a",
@@ -303,12 +313,32 @@ def test_empirical_distribution_equals_per_event_reference(run):
         assert got.tobytes() == _occupation_by_event(traj, burn_in).tobytes()
 
 
-class _FixedUniform:
-    def __init__(self, u: float) -> None:
-        self.u = u
+def _support_cdf(support: np.ndarray, values: np.ndarray) -> tuple[list[int], list[float]]:
+    """Reference jump law: the states (1-based) of a support and the Kahan-compensated
+    CDF of its positive probabilities, one scalar step at a time; its last entry is
+    exactly 1."""
+    total = 0.0
+    comp = 0.0
+    cdf = []
+    for p in values.tolist():
+        y = p - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        cdf.append(total)
+    if abs(total - 1.0) > sim._CDF_SLACK:
+        raise ValueError(f"column mass {total} is not 1 within {sim._CDF_SLACK}")
+    cdf[-1] = 1.0
+    return (support + 1).tolist(), cdf
 
-    def random(self) -> float:
-        return self.u
+
+def _laws(chain):
+    """The jump laws as the sampler of the chain's kind builds them: an intensity
+    matrix jumps at its exit rate, and its absorbing columns are divided by 1.0."""
+    if chain.kind == "transition":
+        return sim._jump_laws(chain)
+    rates = -chain.entries.diagonal()
+    return sim._jump_laws(chain, np.where(rates <= DEFAULT_TOL.abs_tol, 1.0, rates))
 
 
 @pytest.mark.parametrize("chain", [
@@ -321,18 +351,17 @@ def test_draw_never_lands_on_zero_probability_state(chain):
     cumulative sum ends at 1 - 2**-53."""
     largest_u = 1.0 - 2.0 ** -53  # largest value rng.random() returns
     m = chain.matrix
-    supports = sim._column_supports(chain)
+    law_of = _laws(chain)
     for j in range(chain.num_states):
         column = np.clip(m[:, j], 0.0, None)
         if chain.kind == "intensity":
             column[j] = 0.0
             column /= -m[j, j]
-        states, cdf = sim._support_cdf(*sim._jumps(
-            supports, j, 1.0 if chain.kind == "transition" else -m[j, j]))
+        states, cdf = law_of(j)
         assert cdf[-1] == 1.0
         assert column[states[-1] - 1] > 0.0
         assert column[np.asarray(states) - 1].min() > 0.0
-        drawn = sim._draw(_FixedUniform(largest_u), states, cdf)
+        drawn = states[bisect.bisect_right(cdf, largest_u)]
         assert column[drawn - 1] > 0.0
 
 
@@ -385,18 +414,18 @@ def _dense_law(chain, j):
 @pytest.mark.parametrize("chain", _STRUCTURE_CHAINS)
 def test_column_supports_equal_the_dense_columns(chain):
     m = chain.matrix
-    supports = sim._column_supports(chain)
+    all_rows, all_values, ptr = sim._column_supports(chain)
+    law_of = _laws(chain)
     for j in range(chain.num_states):
-        rows, values = sim._jumps(supports, j, 1.0)
+        rows, values = all_rows[ptr[j]:ptr[j + 1]], all_values[ptr[j]:ptr[j + 1]]
         dense = np.flatnonzero(np.clip(m[:, j], 0.0, None))
         assert np.array_equal(rows, dense) and values.tobytes() == m[dense, j].tobytes()
         if chain.kind == "intensity" and -m[j, j] > DEFAULT_TOL.abs_tol:  # else absorbing
-            got, want = sim._jumps(supports, j, -m[j, j]), _dense_law(chain, j)
-            assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
+            assert law_of(j) == _support_cdf(*_dense_law(chain, j))
     # the subnormal entry is in state 1's column but not among its jumps
     if m[1, 0] == 5e-324:
-        assert sim._jumps(supports, 0, 1.0)[0].tolist() == [1, 2]
-        assert sim._jumps(supports, 0, 2.0)[0].tolist() == [2]
+        assert all_rows[ptr[0]:ptr[1]].tolist() == [1, 2]
+        assert law_of(0)[0] == [3]
 
 
 def _same_structure(chain):
@@ -450,16 +479,21 @@ def test_column_supports_of_a_lattice_chain_scan_no_dense_matrix():
 
 
 def _dense_route_path(chain, init, horizon, seed):
-    """The samplers with a dense column gather per first visit and one scalar
-    uniform per DTMC step, as the reference for the paths the samplers draw."""
-    rng = sim._rng(seed)
+    """The samplers with a dense column gather per first visit and one scalar draw
+    per step, as the reference for the paths the samplers draw. A CTMC takes its
+    holding times from Philox(seed) and its jump uniforms from the stream that
+    Philox(seed).jumped() starts."""
+    rng = jump_rng = sim._rng(seed)
+    if chain.kind == "intensity":
+        rng = np.random.Generator(np.random.Philox(seed))
+        jump_rng = np.random.Generator(np.random.Philox(seed).jumped())
     m = chain.matrix
     states, times, t, current, cache = [init], [0.0], 0.0, init, {}
     for _ in range(horizon if chain.kind == "transition" else 10 ** 9):
         if current not in cache:  # a transition matrix takes rate 1, which is never absorbing
             rate = 1.0 if chain.kind == "transition" else -float(m[current - 1, current - 1])
             cache[current] = ((0.0, [], []) if rate <= DEFAULT_TOL.abs_tol
-                              else (rate, *sim._support_cdf(*_dense_law(chain, current - 1))))
+                              else (rate, *_support_cdf(*_dense_law(chain, current - 1))))
         rate, targets, cdf = cache[current]
         if chain.kind == "intensity":
             if rate == 0.0:
@@ -468,7 +502,7 @@ def _dense_route_path(chain, init, horizon, seed):
             if t >= horizon:
                 break
             times.append(t)
-        current = sim._draw(rng, targets, cdf)
+        current = targets[bisect.bisect_right(cdf, jump_rng.random())]
         states.append(current)
     return states, times if chain.kind == "intensity" else None
 
@@ -506,6 +540,108 @@ def test_dtmc_draws_uniforms_in_chunks(monkeypatch):
     traj = sim.simulate_dtmc(chain, 8, steps, seed=3)
     assert len(traj.states) == steps + 1
     assert calls == [sim._UNIFORM_CHUNK, sim._UNIFORM_CHUNK, 7]
+
+
+def _off_mass(kind):
+    # column 2 sums to 1 + 5e-11: within validate's tolerance, not within the CDF slack
+    if kind == "transition":
+        return np.array([[1.0, 0.5], [0.0, 0.5 + 5e-11]])
+    return np.array([[0.0, 1.0 + 5e-11], [0.0, -1.0]])
+
+
+@pytest.mark.parametrize("chain", _STRUCTURE_CHAINS + [
+    pytest.param(MarkovChain.from_matrix(kind=kind, spec=None, matrix=_off_mass(kind)),
+                 id=f"off_mass_{name}") for name, kind in _KINDS.items()])
+def test_jump_laws_equal_the_scalar_kahan_reference(chain):
+    """Every column's law from the one vectorised pass equals the scalar loop over
+    its jumps bit for bit, and a column whose mass is off raises the same error,
+    only when its law is asked for."""
+    all_rows, all_values, ptr = sim._column_supports(chain)
+    rates = -chain.entries.diagonal()
+    law_of = _laws(chain)
+    for j in range(chain.num_states):
+        if chain.kind == "intensity" and rates[j] <= DEFAULT_TOL.abs_tol:
+            continue  # absorbing: the sampler never asks for its law
+        jump = all_values[ptr[j]:ptr[j + 1]] / (rates[j] if chain.kind == "intensity" else 1.0)
+        try:
+            want = _support_cdf(all_rows[ptr[j]:ptr[j + 1]][jump != 0.0], jump[jump != 0.0])
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                law_of(j)
+            continue
+        assert law_of(j) == want
+
+
+def test_off_mass_column_raises_only_on_a_path_that_visits_it():
+    p = MarkovChain.from_matrix(kind="transition", spec=None, matrix=_off_mass("transition"))
+    q = MarkovChain.from_matrix(kind="intensity", spec=None, matrix=_off_mass("intensity"))
+    assert sim.simulate_dtmc(p, 1, 50, seed=1).states == [1] * 51
+    assert sim.simulate_ctmc(q, 1, 50.0, seed=1).states == [1]
+    with pytest.raises(ValueError, match="column mass 1.00000000005 is not 1"):
+        sim.simulate_dtmc(p, 2, 50, seed=1)
+    with pytest.raises(ValueError, match="column mass 1.00000000005 is not 1"):
+        sim.simulate_ctmc(q, 2, 50.0, seed=1)
+
+
+@pytest.mark.parametrize("chain,init,t_max", [
+    (build_ladder_markov(LadderParams(18.0, 1.0, 0.0), 3, "intensity"), 40, 10.0),
+    (MarkovChain.from_matrix(kind="intensity", spec=None, matrix=_absorbing_q()), 3, 50.0),
+], ids=["ladder_3_Q", "absorbing_Q"])
+def test_ctmc_path_does_not_depend_on_the_chunk(chain, init, t_max, monkeypatch):
+    want = sim.simulate_ctmc(chain, init, t_max, seed=13)
+    assert len(want.states) > 1
+    for chunk in (1, 7):
+        monkeypatch.setattr(sim, "_UNIFORM_CHUNK", chunk)
+        assert sim.simulate_ctmc(chain, init, t_max, seed=13) == want
+
+
+def test_ctmc_draws_each_stream_in_chunks(monkeypatch):
+    made = []
+    generator = np.random.Generator
+
+    class CountingGenerator:
+        def __init__(self, bits):
+            self.rng, self.calls = generator(bits), []
+            made.append(self)
+
+        def __getattr__(self, name):
+            def counted(*args, **kwargs):
+                self.calls.append((name, args, kwargs))
+                return getattr(self.rng, name)(*args, **kwargs)
+            return counted
+
+    chunk = 64
+    monkeypatch.setattr(sim, "_UNIFORM_CHUNK", chunk)
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+    chain = build_an_markov(ChainSpec(2, 4), "intensity")
+    traj = sim.simulate_ctmc(chain, 30, 40.0, seed=5)
+    # one holding time and one uniform per event, and one more of each for the
+    # holding time that crosses the horizon
+    draws = len(traj.states)
+    assert draws > 4 * chunk
+    holds, uniforms = made
+    assert holds.calls == [("standard_exponential", (chunk,), {})] * math.ceil(draws / chunk)
+    assert uniforms.calls == [("random", (chunk,), {})] * math.ceil(draws / chunk)
+
+
+def test_ctmc_holding_times_and_jumps_follow_the_chain():
+    """Holding times in each state pass a Kolmogorov-Smirnov test against Exp(rate),
+    and the states jumped to a chi-square test against the column's law."""
+    q = np.array([[-1.0, 0.5, 2.0], [0.25, -1.5, 1.0], [0.75, 1.0, -3.0]])
+    chain = MarkovChain.from_matrix(kind="intensity", spec=None, matrix=q)
+    traj = sim.simulate_ctmc(chain, 1, 10_000.0, seed=2)
+    states, holds = np.array(traj.states[:-1]), np.diff(traj.times)  # the last is cut
+    assert len(holds) > 10_000
+    for j in range(3):
+        rate = -q[j, j]
+        assert stats.kstest(holds[states == j + 1], "expon", args=(0, 1 / rate)).pvalue > 1e-3
+        targets = np.array(traj.states[1:])[states == j + 1]
+        observed = np.bincount(targets - 1, minlength=3)
+        law = np.clip(q[:, j], 0.0, None) / rate
+        assert observed[j] == 0
+        support = law > 0
+        expected = law[support] * observed.sum()
+        assert stats.chisquare(observed[support], expected).pvalue > 1e-3
 
 
 @pytest.mark.parametrize("kind", ["transition", "intensity"])
