@@ -205,7 +205,14 @@ def invariance_residual(op, generators) -> float:
 
 
 def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(as_matrix(a)))
+    """Frobenius norm; raises OverflowError where the sum of squares overflows."""
+    a = as_matrix(a)
+    try:
+        with np.errstate(over="raise"):
+            return float(np.linalg.norm(a))
+    except FloatingPointError:
+        raise OverflowError(f"Frobenius norm of a matrix with entries up to "
+                            f"{np.abs(a).max():.3g} overflows float64") from None
 
 
 def symmetry_defect(a) -> float:
@@ -284,6 +291,52 @@ def _strongly_connected_components(n: int, tails: np.ndarray,
     return components
 
 
+def _label_rounds(n: int, rows: np.ndarray, cols: np.ndarray) -> Iterator[np.ndarray]:
+    """Min-label propagation with pointer jumping (after Shiloach and Vishkin,
+    J. Algorithms 3 (1982) 57-67) on n nodes joined by a symmetric support, held as
+    entries (rows, cols) sorted by column; yields the labels after each round.
+
+    Each round every node takes the least label among its column's rows, and so
+    does its root (the label it held) if that is lower; then the labels are
+    pointer-jumped (label = label[label]) to a fixpoint. The first round that
+    changes nothing is the last. A label is always a node of the same component, so
+    never below its least node; after r rounds every label is at most the least node
+    within distance r. So the loop ends within diameter + 1 <= n rounds, with each
+    node labelled by its component's least node. Hooking the roots keeps a badly
+    numbered graph from taking that many: a 4096-node path in random order takes 9
+    rounds, not 1073. The next round may overwrite a yielded array in place.
+    """
+    label = np.arange(n)
+    ptr = np.searchsorted(cols, np.arange(n + 1))
+    nodes = np.flatnonzero(ptr[:-1] < ptr[1:])  # nodes whose column holds an entry
+    starts = ptr[nodes]
+    gathered = np.empty(len(rows), dtype=label.dtype)  # one buffer for every round
+    while True:
+        np.take(label, rows, out=gathered, mode="clip")  # "raise" would buffer out
+        least = np.minimum.reduceat(gathered, starts)
+        lower = least < label[nodes]
+        if not lower.any():
+            yield label
+            return
+        hooked, least = nodes[lower], least[lower]
+        roots = label[hooked]  # each hooked node's root takes the least of its nodes too
+        label[hooked] = least
+        np.minimum.at(label, roots, least)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+        yield label
+
+
+def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """0-based sorted index arrays of the connected components of n nodes joined by a
+    symmetric support, held as entries (rows, cols) sorted by column; ordered by
+    first member. Labels come from `_label_rounds`."""
+    for label in _label_rounds(n, rows, cols):  # yields at least once
+        pass
+    order = np.argsort(label, kind="stable")  # by least member, each block ascending
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1) if n else []
+
+
 def _blocks(m: np.ndarray) -> list[np.ndarray]:
     """0-based sorted index arrays of the connected components of the graph with an
     edge wherever m[i, j] or m[j, i] is non-zero, so no entry of m lies off the
@@ -291,8 +344,7 @@ def _blocks(m: np.ndarray) -> list[np.ndarray]:
     n = len(m)
     rows, cols = np.nonzero(m != 0)  # faster than np.nonzero(m) on floats
     edges = _merged(np.concatenate([cols * n + rows, rows * n + cols]), np.ones(2 * len(rows)), n)
-    comps = _strongly_connected_components(n, edges.cols, edges.rows)
-    return sorted((np.sort(np.array(c, dtype=np.intp)) for c in comps), key=lambda b: b[0])
+    return _components(n, edges.rows, edges.cols)
 
 
 def symmetric_eigenvalues(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -14,9 +14,9 @@ from functools import cached_property
 import numpy as np
 
 from .lattice_an import ChainSpec, _LatticeSpec, two_site_h
-from .linalg import (Entries, _off_diagonal, _strongly_connected_components, as_matrix,
-                     check_dense_size, embedded_entries, intensity_exp, nonzero_entries,
-                     symmetric_eigenvalues)
+from .linalg import (Entries, _components, _off_diagonal, _strongly_connected_components,
+                     as_matrix, check_dense_size, embedded_entries, intensity_exp,
+                     nonzero_entries, symmetric_eigenvalues)
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 from .su2_ladder import column_sum_value, h_doubleprime
 
@@ -53,12 +53,16 @@ class MarkovChain:
     a lattice chain's are summed from its kernel, and `from_matrix` reads an ad-hoc
     matrix's once. Structure and sampling read them; `matrix` scatters them into a
     read-only dense array on first use, for linear algebra and export. spec may be
-    None for ad-hoc matrices that carry no lattice encoding.
+    None for ad-hoc matrices that carry no lattice encoding. symmetric records that
+    the matrix is known to equal its transpose exactly: a lattice chain's kernel is
+    symmetric, and `from_matrix` compares the matrix it reads with its transpose.
+    `closed_sets` then takes connected components for the closed sets.
     """
 
     kind: str  # "transition" | "intensity"
     entries: Entries
     spec: ChainSpec | LadderSpec | None
+    symmetric: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("transition", "intensity"):
@@ -66,7 +70,12 @@ class MarkovChain:
 
     @classmethod
     def from_matrix(cls, kind: str, matrix, spec=None) -> MarkovChain:
-        return cls(kind, nonzero_entries(matrix), spec)
+        m = as_matrix(matrix)
+        entries = nonzero_entries(m)  # refuses a matrix that is not square
+        # in blocks of rows, so that no bool temporary the size of m is made
+        symmetric = all(np.array_equal(m[i:i + 256], m[:, i:i + 256].T)
+                        for i in range(0, len(m), 256))
+        return cls(kind, entries, spec, symmetric)
 
     @property
     def num_states(self) -> int:
@@ -154,13 +163,16 @@ def _local_chain(spec: ChainSpec | LadderSpec, kernel: np.ndarray, column_sum: f
         kernel = kernel - column_sum * np.eye(len(kernel))
     else:
         raise ValueError("kind must be 'transition' or 'intensity'")
+    # (r, c) and (c, r) receive equal terms in the same bond order, so a symmetric
+    # kernel gives entries that equal their transpose bit for bit
+    symmetric = np.array_equal(kernel, kernel.T)
     entries = embedded_entries(kernel, spec.L, spec.local_dim)
     if kind == "transition":
         entries = entries._replace(values=entries.values / normalizer)  # a new array
         entries.values.flags.writeable = False
     if not np.isfinite(entries.values).all():  # the sum of finite bond terms can overflow
         raise ValueError("matrix has non-finite entries")
-    return MarkovChain(kind, entries, spec)
+    return MarkovChain(kind, entries, spec, symmetric)
 
 
 def build_an_markov(spec: ChainSpec, kind: str) -> MarkovChain:
@@ -247,22 +259,30 @@ def closed_sets(chain: MarkovChain) -> ChainAnalysis:
     flow, so they are exactly the minimal closed sets; a proper closed set
     exists (the chain is reducible) whenever there is more than one
     component. The edges are read from the chain's entries.
+
+    A chain known to be symmetric has no one-way flow, so every component is a
+    sink: one numpy pass (`linalg._components`) finds them. Other chains run
+    Tarjan's algorithm.
     """
     rows, cols, values, n = chain.entries
     edges = (values > EDGE_THRESHOLD) & (rows != cols)
     # flow from sources[k] into targets[k], grouped by source as the entries are by column
     sources, targets = cols[edges], rows[edges]
-    comps = _strongly_connected_components(n, sources, targets)
-    comp_of = np.empty(n, dtype=np.intp)
-    for cid, comp in enumerate(comps):
-        comp_of[comp] = cid
-    # components that some flow leaves
-    leaky = set(comp_of[sources[comp_of[targets] != comp_of[sources]]].tolist())
-    sinks = sorted(sorted(node + 1 for node in comp)
-                   for cid, comp in enumerate(comps) if cid not in leaky)
+    if chain.symmetric:
+        sinks = [(comp + 1).tolist() for comp in _components(n, targets, sources)]
+        count = len(sinks)
+    else:
+        comps = _strongly_connected_components(n, sources, targets)
+        comp_of = np.empty(n, dtype=np.intp)
+        for cid, comp in enumerate(comps):
+            comp_of[comp] = cid
+        # components that some flow leaves
+        leaky = set(comp_of[sources[comp_of[targets] != comp_of[sources]]].tolist())
+        sinks = sorted(sorted(node + 1 for node in comp)
+                       for cid, comp in enumerate(comps) if cid not in leaky)
+        count = len(comps)
     absorbing = [s[0] for s in sinks if len(s) == 1]
-    return ChainAnalysis(absorbing=absorbing, closed_sets=sinks,
-                         reducible=len(comps) > 1)
+    return ChainAnalysis(absorbing=absorbing, closed_sets=sinks, reducible=count > 1)
 
 
 def _null_space_1d(a: np.ndarray, tol: float) -> np.ndarray:

@@ -85,10 +85,12 @@ def test_guard_violation_exit_two(capsys):
     ["markov", "ladder", "--L", "2", "--a", "1e308", "--kind", "P"],
     ["markov", "ladder", "--L", "2", "--a", "1e308", "--kind", "Q"],
     ["verify", "ladder", "--L", "3", "--a", "1e307"],
-], ids=["markov_P", "markov_Q", "verify"])
+    ["verify", "ladder", "--L", "3", "--a", "3e306"],
+], ids=["markov_P", "markov_Q", "verify", "verify_certificates"])
 def test_overflowing_ladder_parameters_exit_two(args, capsys):
     """Parameters too large for float64 are a usage error: one error line, no
-    traceback, no numpy warning, and no chain of spurious absorbing states."""
+    traceback, no numpy warning, and no chain of spurious absorbing states. At
+    a = 3e306 the density assembles, but the certificates' norms overflow."""
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

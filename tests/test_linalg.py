@@ -522,6 +522,78 @@ def test_strongly_connected_components_match_mutual_reachability():
         assert sorted(tuple(sorted(c)) for c in comps) == sorted(expected)
 
 
+def _symmetric_support(n, pairs):
+    """Entries (rows, cols) sorted by column of the symmetric support joining each pair."""
+    keys = np.unique([c * n + r for i, j in pairs for r, c in ((i, j), (j, i))]).astype(np.intp)
+    cols, rows = np.divmod(keys, max(n, 1))
+    return rows, cols
+
+
+# up to 30 nodes and few edges, so that isolated nodes, chains and cycles all occur
+SYMMETRIC_SUPPORT = st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n) if n else st.just([])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SYMMETRIC_SUPPORT)
+def test_components_are_the_connected_components(support):
+    n, pairs = support
+    rows, cols = _symmetric_support(n, pairs)
+    blocks = linalg._components(n, rows, cols)
+    assert all(b.dtype == np.intp for b in blocks)
+    got = [b.tolist() for b in blocks]
+    graph = scipy.sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    for connection in ("weak", "strong"):
+        count, labels = connected_components(graph, connection=connection)
+        assert got == sorted(np.flatnonzero(labels == k).tolist() for k in range(count))
+    tarjan = linalg._strongly_connected_components(n, cols, rows)
+    assert got == sorted(sorted(c) for c in tarjan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SYMMETRIC_SUPPORT)
+def test_label_rounds_meet_their_documented_bound(support):
+    """After r rounds every label is at most the least node within distance r, and
+    never below its component's least node; the first round that changes nothing is
+    the last, within diameter + 1 rounds."""
+    n, pairs = support
+    rows, cols = _symmetric_support(n, pairs)
+    rounds = [label.copy() for label in linalg._label_rounds(n, rows, cols)]
+    graph = scipy.sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    dist = scipy.sparse.csgraph.shortest_path(graph, unweighted=True)
+    nodes = np.broadcast_to(np.arange(n, dtype=float), (n, n))
+    least = np.where(np.isfinite(dist), nodes, np.inf).min(axis=1, initial=np.inf)
+    for r, label in enumerate(rounds, start=1):
+        assert np.all(label <= np.where(dist <= r, nodes, np.inf).min(axis=1, initial=np.inf))
+        assert np.all(label >= least)
+    assert np.array_equal(rounds[-1], least)
+    assert all(not np.array_equal(a, b) for a, b in zip(rounds[:-2], rounds[1:-1]))
+    assert len(rounds) == 1 or np.array_equal(rounds[-1], rounds[-2])
+    diameter = dist[np.isfinite(dist)].max(initial=0.0)
+    assert len(rounds) <= diameter + 1 <= max(n, 1)
+
+
+@pytest.mark.parametrize("shape", ["path", "cycle"])
+@pytest.mark.parametrize("numbering", ["in_order", "random"])
+def test_components_of_the_widest_graphs(shape, numbering):
+    n = 4096
+    order = np.arange(n) if numbering == "in_order" else np.random.default_rng(5).permutation(n)
+    pairs = list(zip(order[:-1].tolist(), order[1:].tolist()))
+    if shape == "cycle":
+        pairs.append((int(order[-1]), int(order[0])))
+    rows, cols = _symmetric_support(n, pairs)
+    rounds = sum(1 for _ in linalg._label_rounds(n, rows, cols))
+    assert rounds <= (n - 1 if shape == "path" else n // 2) + 1
+    assert rounds <= 2 * math.log2(n)  # the roots are hooked too: 9 for the random path
+    blocks = linalg._components(n, rows, cols)
+    assert len(blocks) == 1 and np.array_equal(blocks[0], np.arange(n))
+    # cut in two: the halves are the components
+    cut = pairs[:n // 2] + pairs[n // 2 + 1:(n - 1)]  # a cycle loses its closing pair too
+    halves = linalg._components(n, *_symmetric_support(n, cut))
+    assert sorted(b.tolist() for b in halves) == sorted(
+        np.sort(part).tolist() for part in (order[:n // 2 + 1], order[n // 2 + 1:]))
+
+
 def test_one_way_rates_join_their_states():
     # 1 -> 2 -> 3 at rates 1 and 2, 4 <-> 5: no rate leads back to state 1
     q = np.zeros((5, 5))

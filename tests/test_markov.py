@@ -5,11 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lattice_markov import linalg
 from lattice_markov import markov as mk
+from lattice_markov import su2_ladder as lad
 from lattice_markov.lattice_an import ChainSpec, hamiltonian
 from lattice_markov.linalg import intensity_exp
 from lattice_markov.reporting import Tolerance
@@ -530,6 +532,74 @@ def test_closed_sets_build_no_dense_mask():
     assert analysis.absorbing == mk.absorbing_states_formula(chain.spec)
     assert len(analysis.closed_sets) == 11  # one per number of 1s
     assert peak < chain.num_states ** 2  # the bytes of a dim x dim bool mask (1 MiB)
+
+
+def test_closed_sets_of_a_symmetric_chain_peak_small():
+    # ladder L = 6 Q: 256,000 entries; Tarjan's adjacency lists peaked at 16 MiB traced
+    chain = mk.build_ladder_markov(mk.LadderParams(16.0, 0.0, 0.0), 6, "intensity")
+    tracemalloc.start()
+    try:
+        analysis = mk.closed_sets(chain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert analysis == mk.ChainAnalysis([], [list(range(1, 4097))], False)
+    assert peak < 8 * 2 ** 20
+
+
+def _transpose_entries(chain):
+    return linalg.nonzero_entries(chain.entries.dense().T)
+
+
+@pytest.mark.parametrize("kind", ["transition", "intensity"])
+@pytest.mark.parametrize("n,L", [(1, 2), (1, 5), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_an_chains_are_known_symmetric(n, L, kind):
+    chain = mk.build_an_markov(ChainSpec(n, L), kind)
+    assert chain.symmetric is True
+    for got, want in zip(chain.entries, _transpose_entries(chain)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-2.0, 60.0), st.floats(0.0, 40.0), st.floats(0.0, 40.0), st.integers(2, 4),
+       st.sampled_from(["transition", "intensity"]))
+def test_ladder_chains_inside_the_positivity_region_are_known_symmetric(a, db, dc, L, kind):
+    # inside the region a >= -2, a + 2b >= 16 and a + 4b + 4c >= -54
+    b = (16.0 - a) / 2.0 + db
+    c = (-54.0 - a - 4.0 * b) / 4.0 + dc
+    assume(min(lad.entry_values(a, b, c)) >= 0.0)  # roundoff at the boundary
+    chain = mk.build_ladder_markov(mk.LadderParams(a, b, c), L, kind)
+    assert chain.symmetric is True
+    for got, want in zip(chain.entries, _transpose_entries(chain)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_from_matrix_records_exact_symmetry():
+    p = np.array([[0.5, 0.25, 0.0], [0.5, 0.5, 0.5], [0.0, 0.25, 0.5]])
+    assert mk.MarkovChain.from_matrix("transition", p).symmetric is False
+    assert mk.MarkovChain.from_matrix("transition", 0.5 * (p + p.T)).symmetric is True
+    nudged = np.full((300, 300), 1.0 / 300)  # spans two blocks of rows
+    nudged[299, 280] += 1e-16  # a pair that only the second block compares
+    assert mk.MarkovChain.from_matrix("transition", nudged).symmetric is False
+    assert mk.MarkovChain.from_matrix("transition", nudged.T + nudged).symmetric is True
+    assert mk.MarkovChain.from_matrix("transition", np.zeros((0, 0))).symmetric is True
+    adhoc = mk.MarkovChain(kind="transition", entries=linalg.nonzero_entries(np.eye(2)),
+                           spec=None)
+    assert adhoc.symmetric is False  # not known unless stated
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_closed_sets_do_not_need_the_symmetry_flag(data):
+    """On an exactly symmetric matrix, with tiny, subnormal and negative entries among
+    the others, the components route gives Tarjan's answer."""
+    n = data.draw(st.integers(0, 14), label="states")
+    m = data.draw(hnp.arrays(np.float64, (n, n), elements=_ENTRY), label="matrix")
+    m = np.triu(m) + np.triu(m, 1).T
+    for kind in ("transition", "intensity"):
+        chain = mk.MarkovChain.from_matrix(kind=kind, matrix=m)
+        assert chain.symmetric
+        assert mk.closed_sets(chain) == mk.closed_sets(dataclasses.replace(chain, symmetric=False))
 
 
 def test_chain_build_and_closed_sets_scatter_no_dense_matrix():

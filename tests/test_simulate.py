@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import hashlib
 import math
 import os
@@ -426,6 +427,13 @@ def test_column_supports_equal_the_dense_columns(chain):
     if m[1, 0] == 5e-324:
         assert all_rows[ptr[0]:ptr[1]].tolist() == [1, 2]
         assert law_of(0)[0] == [3]
+
+
+@pytest.mark.parametrize("chain", _STRUCTURE_CHAINS)
+def test_closed_sets_equal_with_the_symmetry_flag_off(chain):
+    """A symmetric chain's components and Tarjan's sink components agree."""
+    assert chain.symmetric == (chain.spec is not None)
+    assert closed_sets(chain) == closed_sets(dataclasses.replace(chain, symmetric=False))
 
 
 def _same_structure(chain):
