@@ -2,8 +2,8 @@
 
 Verbs: verify (certification suites), build (matrix export), spectrum,
 markov (structure analysis), simulate (trajectory sampling). Exit codes:
-0 all checks passed, 1 a check failed, 2 usage or guard error. All state
-indices printed are 1-based.
+0 all checks passed, 1 a check failed, 2 usage, guard or output-file error.
+All state indices printed are 1-based.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:  # OSError: an unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

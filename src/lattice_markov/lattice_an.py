@@ -2,8 +2,9 @@
 
 The two-site density is the shifted coproduct Casimir, which in the
 defining representation is (n+1) times the pair-swap operator. The chain
-Hamiltonian is the open sum of embedded densities; its global symmetry
-generators are single-site sums of the algebra generators.
+Hamiltonian is the open sum of embedded densities, held as its entries as a
+Markov chain is; its global symmetry generators are single-site sums of the
+algebra generators.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 
 from .an_algebra import delta_casimir, fundamental_rep
 from .braid_tl import tl_from_an
-from .linalg import (as_matrix, commutator_norm, embedded_entries, embedded_sum,
-                     frobenius_norm, nonzero_entries, symmetric_eigenvalues)
+from .linalg import (Entries, _HeldAsEntries, check_dense_size, commutator_norm,
+                     embedded_entries, embedded_sum, frobenius_norm, symmetric_eigenvalues)
 from .reporting import DEFAULT_TOL, Tolerance
 
 
@@ -48,10 +49,18 @@ class ChainSpec(_LatticeSpec):
         return self.n + 1
 
 
-@dataclass
-class LatticeHamiltonian:
+@dataclass(frozen=True, eq=False)
+class LatticeHamiltonian(_HeldAsEntries):
+    """A chain Hamiltonian held as its read-only entries, with a cached read-only
+    `matrix`, as a MarkovChain is."""
+
     spec: ChainSpec
-    matrix: np.ndarray
+    entries: Entries
+
+    def __post_init__(self) -> None:
+        if self.entries.dim != self.spec.dim:
+            raise ValueError(f"entries of dimension {self.entries.dim} do not match "
+                             f"the {self.spec.dim} states of the chain")
 
 
 def two_site_h(n: int) -> np.ndarray:
@@ -64,33 +73,25 @@ def two_site_h(n: int) -> np.ndarray:
 
 
 def hamiltonian(spec: ChainSpec) -> LatticeHamiltonian:
-    total = embedded_sum(two_site_h(spec.n), spec.L, spec.local_dim)
-    return LatticeHamiltonian(spec=spec, matrix=total)
-
-
-def global_generators(spec: ChainSpec) -> list[np.ndarray]:
-    """Single-site sums of every algebra generator over all L sites."""
-    return [embedded_sum(g, spec.L, spec.local_dim)
-            for g in fundamental_rep(spec.n).all_generators()]
+    check_dense_size(spec.dim)
+    return LatticeHamiltonian(spec, embedded_entries(two_site_h(spec.n), spec.L, spec.local_dim))
 
 
 def symmetry_residual(h: LatticeHamiltonian) -> float:
     """Largest commutator norm of the Hamiltonian with a global generator.
 
-    Each commutator is computed from entries: the Hamiltonian's from one pass
-    over h.matrix, each generator's from its one-site kernel, one at a time,
-    so no dense generator or dense product is built.
+    Each commutator is computed from entries: the Hamiltonian's own, each
+    generator's from its one-site kernel, one at a time, so no dense generator
+    or dense product is built.
     """
     spec = h.spec
-    ham = nonzero_entries(h.matrix)
-    return max(commutator_norm(ham, embedded_entries(g, spec.L, spec.local_dim))
+    return max(commutator_norm(h.entries, embedded_entries(g, spec.L, spec.local_dim))
                for g in fundamental_rep(spec.n).all_generators())
 
 
-def chain_spectrum(h, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def chain_spectrum(h: LatticeHamiltonian, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Ascending spectrum of a symmetric chain Hamiltonian."""
-    matrix = h.matrix if isinstance(h, LatticeHamiltonian) else as_matrix(h)
-    return symmetric_eigenvalues(matrix, tol)
+    return symmetric_eigenvalues(h.matrix, tol)
 
 
 def tl_decomposition_residuals(n: int, L: int) -> tuple[float, float]:

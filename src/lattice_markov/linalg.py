@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 from collections.abc import Iterator
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -80,6 +81,18 @@ class Entries(NamedTuple):
         d, on = np.zeros(self.dim), self.rows == self.cols
         d[self.rows[on]] = self.values[on]
         return d
+
+
+class _HeldAsEntries:
+    """The part MarkovChain and LatticeHamiltonian share: a frozen value whose matrix
+    is its read-only `entries`. `matrix` scatters them into a read-only dense array
+    on first use and keeps it, for linear algebra and export."""
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = self.entries.dense()
+        m.flags.writeable = False  # an in-place write would leave the entries stale
+        return m
 
 
 def nonzero_entries(m) -> Entries:
@@ -234,17 +247,6 @@ def _symmetrised(blocks: list[np.ndarray], tol: Tolerance) -> list[np.ndarray]:
     if defect > max(tol.abs_tol, tol.rel_tol * math.hypot(*map(np.linalg.norm, blocks))):
         raise ValueError(f"matrix is not symmetric within tolerance (defect {defect:.3e})")
     return [0.5 * (b + b.T) for b in blocks]
-
-
-def symmetric_eigensystem(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigensystem of a symmetric matrix by LAPACK (`np.linalg.eigh`).
-
-    Returns (w, V) with eigenvalues w ascending and A V = V diag(w). The
-    input must be symmetric within tolerance and is symmetrised before the
-    solve. A solver that fails to converge raises np.linalg.LinAlgError,
-    a ValueError.
-    """
-    return np.linalg.eigh(_symmetrised([as_matrix(a)], tol)[0])
 
 
 def _strongly_connected_components(n: int, tails: np.ndarray,

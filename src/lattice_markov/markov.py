@@ -9,14 +9,13 @@ indexed 1-based at the API surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .lattice_an import ChainSpec, _LatticeSpec, two_site_h
-from .linalg import (Entries, _components, _off_diagonal, _strongly_connected_components,
-                     as_matrix, check_dense_size, embedded_entries, intensity_exp,
-                     nonzero_entries, symmetric_eigenvalues)
+from .linalg import (Entries, _components, _HeldAsEntries, _off_diagonal,
+                     _strongly_connected_components, as_matrix, check_dense_size,
+                     embedded_entries, intensity_exp, nonzero_entries, symmetric_eigenvalues)
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 from .su2_ladder import column_sum_value, h_doubleprime
 
@@ -46,7 +45,7 @@ class LadderSpec(_LatticeSpec):
 
 
 @dataclass(frozen=True, eq=False)
-class MarkovChain:
+class MarkovChain(_HeldAsEntries):
     """A transition or intensity matrix, held as its entries, plus its state encoding.
 
     The read-only entries, sorted by column, are the chain's one copy of its matrix:
@@ -80,12 +79,6 @@ class MarkovChain:
     @property
     def num_states(self) -> int:
         return self.entries.dim
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        m = self.entries.dense()
-        m.flags.writeable = False  # an in-place write would leave the entries stale
-        return m
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +281,13 @@ def closed_sets(chain: MarkovChain) -> ChainAnalysis:
 def _null_space_1d(a: np.ndarray, tol: float) -> np.ndarray:
     """One-dimensional null space of a small square matrix by SVD.
 
-    Singular values at or below tol * max(1, max|a|) count as zero; the
-    right singular vector of the smallest one spans the null space.
+    Singular values at or below max(tol, len(a) eps) * max(1, max|a|) count as
+    zero: below that floor the SVD cannot tell a zero from roundoff. The right
+    singular vector of the smallest one spans the null space.
     """
     _, s, vt = np.linalg.svd(a)
-    nullity = int(np.count_nonzero(s <= tol * max(1.0, float(np.abs(a).max()))))
+    cutoff = max(tol, len(a) * np.finfo(float).eps) * max(1.0, float(np.abs(a).max()))
+    nullity = int(np.count_nonzero(s <= cutoff))
     if nullity != 1:
         raise ValueError(f"null space dimension {nullity} != 1; "
                          "stationary distribution is not unique on this set")
@@ -339,18 +334,20 @@ def stationary_distribution(chain: MarkovChain, closed_set,
     return full
 
 
-def spectrum_coincidence(h, chain: MarkovChain, scale: float, shift: float,
+def spectrum_coincidence(reference, chain: MarkovChain, scale: float, shift: float,
                          tol: Tolerance = DEFAULT_TOL) -> float:
-    """Largest eigenvalue mismatch between the chain and an affine image of h.
+    """Largest eigenvalue mismatch between the chain and an affine image of a
+    reference spectrum, such as `chain_spectrum` of the chain's Hamiltonian.
 
-    Both matrices must be symmetric (true for every chain built here); the
+    The chain's matrix must be symmetric (true for every chain built here); the
     spectra are compared sorted, elementwise, after mapping the reference
     spectrum through x -> scale * x + shift.
     """
-    h = as_matrix(h)
-    if h.shape != chain.matrix.shape:
-        raise ValueError("dimension mismatch between reference and chain")
-    ref = symmetric_eigenvalues(h, tol)
+    ref = np.asarray(reference, dtype=float)
+    if ref.shape != (chain.num_states,):
+        raise ValueError(f"reference spectrum of shape {ref.shape} does not match "
+                         f"a chain of {chain.num_states} states")
+    ref = np.sort(ref)
     got = symmetric_eigenvalues(chain.matrix, tol)
     return float(np.max(np.abs(got - (scale * ref + shift))))
 

@@ -16,7 +16,8 @@ import numpy as np
 
 import lattice_markov as lm
 from lattice_markov.braid_tl import qybe_residual, spectral_qybe_residual, tl_check, tl_from_an
-from lattice_markov.lattice_an import ChainSpec, hamiltonian, symmetry_residual, two_site_h
+from lattice_markov.lattice_an import (ChainSpec, chain_spectrum, hamiltonian, symmetry_residual,
+                                       two_site_h)
 from lattice_markov.markov import (LadderParams, absorbing_states, absorbing_states_formula,
                                    build_an_markov, build_ladder_markov,
                                    spectrum_coincidence, validate)
@@ -119,7 +120,7 @@ def test_criterion_07_markov_validity_and_spectra():
     for n in (1, 2, 3):
         for L in (2, 3):
             spec = ChainSpec(n, L)
-            h = hamiltonian(spec).matrix
+            w = chain_spectrum(hamiltonian(spec))
             p = build_an_markov(spec, "transition")
             q = build_an_markov(spec, "intensity")
             for chain, target in ((p, 1.0), (q, 0.0)):
@@ -132,8 +133,8 @@ def test_criterion_07_markov_validity_and_spectra():
             worst_entry = min(worst_entry, entry_floor)
             ok = ok and entry_floor >= -1e-14
             norm = (L - 1) * (n + 1)
-            dev_p = spectrum_coincidence(h, p, 1.0 / norm, 0.0)
-            dev_q = spectrum_coincidence(h, q, 1.0, -float(norm))
+            dev_p = spectrum_coincidence(w, p, 1.0 / norm, 0.0)
+            dev_q = spectrum_coincidence(w, q, 1.0, -float(norm))
             worst_spec = max(worst_spec, dev_p, dev_q)
             ok = ok and dev_p < 1e-8 and dev_q < 1e-8
     announce(7, ok, f"stochastic/intensity validity and affine spectrum match: "

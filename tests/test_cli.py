@@ -69,6 +69,38 @@ def test_verify_infinite_tolerance_exits_two(target, tol, capsys):
     assert err == "error: tolerances must be finite\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "an", "--n", "1", "--L", "3", "--tol", "0"],
+    ["verify", "an", "--n", "2", "--L", "3", "--tol", "1e-17"],
+    ["verify", "all", "--L", "2", "--tol", "0"],
+], ids=["an_n1_tol0", "an_n2_tol1e-17", "all_tol0"])
+def test_sub_resolution_tolerance_gives_a_full_report(args, capsys):
+    """A tolerance below roundoff fails checks, but every check is reported: the
+    stationary SVD's rank cutoff is floored at roundoff, so it still finds the
+    one null vector of each closed set instead of exiting 2."""
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and err == ""
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    _, default_out, _ = run_cli([a for a in args if a not in ("--tol", "0", "1e-17")], capsys)
+    assert names == [c["name"] for c in json.loads(default_out)["checks"]]
+    assert "stationary_uniform" in names
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "an", "--out", "{path}"],
+    ["build", "an", "--kind", "H", "--out", "{path}"],
+    ["markov", "an", "--matrix-out", "{path}"],
+    ["simulate", "an", "--tmax", "1", "--trajectory-out", "{path}"],
+], ids=["verify_out", "build_out", "markov_matrix_out", "simulate_trajectory_out"])
+def test_unwritable_output_path_exits_two(argv, tmp_path, capsys):
+    """Exit 1 means a failed check, so a path that cannot be written is a usage
+    error: one error line, no traceback."""
+    path = tmp_path / "no-such-directory" / "file"
+    code, out, err = run_cli([arg.format(path=path) for arg in argv], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
 def test_bad_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["verify", "nonsense"])

@@ -10,7 +10,8 @@ import scipy.sparse.linalg
 from lattice_markov import lattice_an as lat
 from lattice_markov.an_algebra import fundamental_rep
 from lattice_markov.braid_tl import qybe_residual
-from lattice_markov.linalg import check_dense_size, commutator, frobenius_norm
+from lattice_markov.linalg import (check_dense_size, commutator, embedded_sum, frobenius_norm,
+                                   nonzero_entries)
 
 SWAP4 = np.array([[1, 0, 0, 0],
                   [0, 0, 1, 0],
@@ -56,9 +57,28 @@ def test_hamiltonian_largest_eigenvalue():
     assert w[-1] == pytest.approx(6.0, abs=1e-10)  # (L-1)(n+1)
 
 
+def _global_generators(spec):
+    """Dense single-site sums of every algebra generator: the oracle for the
+    generators that symmetry_residual builds as entries."""
+    return [embedded_sum(g, spec.L, spec.local_dim)
+            for g in fundamental_rep(spec.n).all_generators()]
+
+
+def test_hamiltonian_is_a_frozen_value_with_a_read_only_matrix():
+    h = lat.hamiltonian(lat.ChainSpec(2, 3))
+    assert h.matrix is h.matrix  # scattered once
+    assert np.array_equal(h.matrix, h.entries.dense())
+    with pytest.raises(ValueError, match="read-only"):
+        h.matrix[0, 1] += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        h.entries.values[0] = 0.0
+    with pytest.raises(AttributeError):
+        h.entries = nonzero_entries(np.eye(27))
+
+
 def test_global_generators_rank_one():
     spec = lat.ChainSpec(1, 2)
-    gens = lat.global_generators(spec)
+    gens = _global_generators(spec)
     # order: cartan, then raising, then lowering
     assert np.array_equal(gens[0], np.diag([2.0, 0.0, 0.0, -2.0]))
     raising = gens[1]
@@ -66,7 +86,7 @@ def test_global_generators_rank_one():
 
 
 def test_global_generator_count():
-    gens = lat.global_generators(lat.ChainSpec(2, 2))
+    gens = _global_generators(lat.ChainSpec(2, 2))
     assert len(gens) == 8  # 2 cartan + 3 raising + 3 lowering
 
 
@@ -78,15 +98,17 @@ def test_symmetry_residual(n, L):
 
 def test_symmetry_negative_control():
     h = lat.LatticeHamiltonian(spec=lat.ChainSpec(1, 2),
-                               matrix=np.diag([1.0, 2.0, 3.0, 4.0]))
+                               entries=nonzero_entries(np.diag([1.0, 2.0, 3.0, 4.0])))
     assert lat.symmetry_residual(h) > 1.0
 
 
 def test_symmetry_residual_equals_per_generator_loop():
-    h = lat.hamiltonian(lat.ChainSpec(2, 3))
-    h.matrix[0, 1] += 0.25  # one off-diagonal pair breaks the symmetry
-    h.matrix[1, 0] += 0.25
-    expected = max(frobenius_norm(commutator(h.matrix, g)) for g in lat.global_generators(h.spec))
+    spec = lat.ChainSpec(2, 3)
+    m = lat.hamiltonian(spec).matrix.copy()
+    m[0, 1] += 0.25  # one off-diagonal pair breaks the symmetry
+    m[1, 0] += 0.25
+    h = lat.LatticeHamiltonian(spec, nonzero_entries(m))
+    expected = max(frobenius_norm(commutator(m, g)) for g in _global_generators(spec))
     assert expected > 0.1
     assert lat.symmetry_residual(h) == expected
 
@@ -101,14 +123,16 @@ def _scipy_generator(g, L):
 
 @pytest.mark.parametrize("n,L", [(1, 8), (2, 5), (3, 4)])
 def test_symmetry_residual_of_perturbed_h_matches_scipy_sparse(n, L):
-    h = lat.hamiltonian(lat.ChainSpec(n, L))
+    spec = lat.ChainSpec(n, L)
+    m = lat.hamiltonian(spec).matrix.copy()
     rng = np.random.default_rng(10 * n + L)
     for _ in range(3):  # symmetric pairs with values that products round
-        i, j = rng.integers(0, len(h.matrix), size=2)
-        h.matrix[i, j] += 0.1
-        h.matrix[j, i] += 0.1
-    h.matrix[3, 5] -= 1.0 / 3.0  # and one asymmetric entry
-    ham = scipy.sparse.csr_array(h.matrix)
+        i, j = rng.integers(0, len(m), size=2)
+        m[i, j] += 0.1
+        m[j, i] += 0.1
+    m[3, 5] -= 1.0 / 3.0  # and one asymmetric entry
+    h = lat.LatticeHamiltonian(spec, nonzero_entries(m))
+    ham = scipy.sparse.csr_array(m)
     expected = max(scipy.sparse.linalg.norm(ham @ g - g @ ham)
                    for g in map(functools.partial(_scipy_generator, L=L),
                                 fundamental_rep(n).all_generators()))
@@ -117,25 +141,31 @@ def test_symmetry_residual_of_perturbed_h_matches_scipy_sparse(n, L):
 
 
 def test_symmetry_residual_refuses_a_matrix_of_the_wrong_size():
-    # the dense commutator refused it; the sparse one must not return a number
-    h = lat.LatticeHamiltonian(spec=lat.ChainSpec(1, 3), matrix=np.eye(4))
-    with pytest.raises(ValueError, match="equal size"):
-        lat.symmetry_residual(h)
-    h = lat.LatticeHamiltonian(spec=lat.ChainSpec(1, 2), matrix=np.ones((4, 3)))
+    # the dense commutator refused it; now no Hamiltonian of the wrong size exists
+    with pytest.raises(ValueError, match="entries of dimension 4 do not match the 8 states"):
+        lat.symmetry_residual(lat.LatticeHamiltonian(lat.ChainSpec(1, 3), nonzero_entries(np.eye(4))))
     with pytest.raises(ValueError, match="square"):
-        lat.symmetry_residual(h)
+        lat.LatticeHamiltonian(lat.ChainSpec(1, 2), nonzero_entries(np.ones((4, 3))))
+    assert lat.LatticeHamiltonian(lat.ChainSpec(1, 2), nonzero_entries(np.eye(4))).spec.dim == 4
 
 
 def test_symmetry_residual_builds_no_dense_operator():
-    h = lat.hamiltonian(lat.ChainSpec(3, 5))  # dim 1024, 15 generators
+    """hamiltonian, symmetry_residual and verify_an's chain sum rule read entries
+    only, so together they stay below one dense H."""
+    spec = lat.ChainSpec(3, 5)  # dim 1024, 15 generators
     tracemalloc.start()
     try:
+        h = lat.hamiltonian(spec)
         residual = lat.symmetry_residual(h)
+        rows, cols, values, dim = h.entries
+        row_sums, col_sums = np.bincount(rows, values, dim), np.bincount(cols, values, dim)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert residual == 0.0
-    # below one dim^2 of float64 (8 MiB): a dense generator alone would fill it
+    assert np.all(row_sums == 16.0) and np.all(col_sums == 16.0)  # (L-1)(n+1)
+    assert "matrix" not in vars(h)  # nothing scattered it
+    # below one dim^2 of float64 (8 MiB): a dense generator or H alone would fill it
     assert peak < h.matrix.nbytes
 
 

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from lattice_markov import linalg
 from lattice_markov import markov as mk
 from lattice_markov import su2_ladder as lad
-from lattice_markov.lattice_an import ChainSpec, hamiltonian
+from lattice_markov.lattice_an import ChainSpec, chain_spectrum, hamiltonian
 from lattice_markov.linalg import intensity_exp
 from lattice_markov.reporting import Tolerance
 
@@ -316,14 +316,22 @@ def test_every_closed_set_of_intensity_chain_is_uniform():
 
 def test_spectrum_coincidence():
     spec = ChainSpec(1, 3)
-    h = hamiltonian(spec).matrix
+    w = chain_spectrum(hamiltonian(spec))
     p = mk.build_an_markov(spec, "transition")
     q = mk.build_an_markov(spec, "intensity")
-    assert mk.spectrum_coincidence(h, p, 0.25, 0.0) < 1e-9
-    assert mk.spectrum_coincidence(h, q, 1.0, -4.0) < 1e-9
+    assert mk.spectrum_coincidence(w, p, 0.25, 0.0) < 1e-9
+    assert mk.spectrum_coincidence(w, q, 1.0, -4.0) < 1e-9
+    assert mk.spectrum_coincidence(w[::-1].tolist(), q, 1.0, -4.0) < 1e-9  # any order
     control = mk.MarkovChain.from_matrix(kind="transition", spec=spec,
                                          matrix=np.diag(np.arange(8.0)))
-    assert mk.spectrum_coincidence(h, control, 0.25, 0.0) > 0.5
+    assert mk.spectrum_coincidence(w, control, 0.25, 0.0) > 0.5
+
+
+@pytest.mark.parametrize("reference", [np.zeros(7), np.zeros(9), np.zeros((8, 8)), 4.0])
+def test_spectrum_coincidence_refuses_a_reference_of_the_wrong_length(reference):
+    q = mk.build_an_markov(ChainSpec(1, 3), "intensity")
+    with pytest.raises(ValueError, match="does not match a chain of 8 states"):
+        mk.spectrum_coincidence(reference, q, 1.0, -4.0)
 
 
 def test_semigroup_is_transition_matrix():
