@@ -36,7 +36,7 @@ class VerificationReport:
     @classmethod
     def from_residuals(cls, name: str, residuals: dict[str, float], tol: float,
                        **info: object) -> "VerificationReport":
-        passed = all(abs(v) < tol for v in residuals.values())
+        passed = all(abs(v) <= tol for v in residuals.values())  # NaN fails
         return cls(name=name, residuals=dict(residuals), tol=tol, passed=passed,
                    info=dict(info))
 

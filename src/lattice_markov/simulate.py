@@ -15,15 +15,20 @@ entry absorbs rounding slack up to 1e-12. A path reads the chain only
 through its sorted entries: the positive entries of each column
 (`_column_supports`) and the exit rates on the diagonal, so no dense matrix
 is built. The jump laws of all columns are built once per path, in one
-vectorised pass (`_jump_laws`); a first visit only slices its column.
+vectorised pass (`_jump_laws`), and packed into flat arrays that a step
+searches by span (`_walk`), so a first visit costs what a repeat visit does.
+A continuous path takes the entry times of each chunk from one cumulative sum.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
+import operator
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -52,18 +57,12 @@ class Trajectory:
         if self.times is not None:
             if len(self.times) != len(self.states):
                 raise ValueError("times must align with states")
-            if any(b <= a for a, b in zip(self.times, self.times[1:])):
+            if not all(map(operator.lt, self.times, islice(self.times, 1, None))):
                 raise ValueError("times must be strictly increasing")
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
-
-
-def _chunked(draw):
-    """The values of draw(size), drawn _UNIFORM_CHUNK at a time, one by one."""
-    while True:
-        yield from draw(_UNIFORM_CHUNK).tolist()
 
 
 def _column_supports(chain: MarkovChain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -76,14 +75,15 @@ def _column_supports(chain: MarkovChain) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _jump_laws(chain: MarkovChain, rates: np.ndarray | None = None):
-    """The jump law of every column, built in one pass: law_of(j) gives the states
-    (1-based) that state j + 1 jumps to and the Kahan-compensated CDF of their
-    probabilities, whose last entry is exactly 1.
+    """The jump law of every column, built in one pass and packed: state s jumps to
+    targets[lo:hi] (1-based) with the Kahan-compensated CDF cdf[lo:hi], whose last
+    entry is exactly 1, where (lo, hi) = spans[s]; spans[0] is unused.
 
     The probabilities are the positive entries of column j divided by rates[j], but
     for quotients that underflow to zero; without rates they are the entries. Kahan
     runs over all columns in lockstep, with the float64 operations of a scalar loop
-    in the same order. A column whose mass is not 1 raises only when law_of(j) is asked.
+    in the same order. A column whose mass is not 1 gets, in place of its span, the
+    ValueError that a path raises when it enters that state.
     """
     rows, law, ptr = _column_supports(chain)  # law: the probabilities, then the CDF
     if rates is not None:
@@ -102,18 +102,34 @@ def _jump_laws(chain: MarkovChain, rates: np.ndarray | None = None):
         comp[j] = (t - mass[j]) - y
         mass[j] = t
         law[at] = t
+    law[ptr[1:][lengths > 0] - 1] = 1.0
     rows += 1  # the states, 1-based
+    targets, cdf = array("q"), array("d")
+    targets.frombytes(rows.astype(np.int64, copy=False).view(np.uint8))
+    cdf.frombytes(law.view(np.uint8))
     bounds = ptr.tolist()
+    spans: list = [None, *zip(bounds, bounds[1:])]
+    for j in np.flatnonzero(np.abs(mass - 1.0) > _CDF_SLACK).tolist():
+        spans[j + 1] = ValueError(f"column mass {float(mass[j])} is not 1 within {_CDF_SLACK}")
+    return targets, cdf, spans
 
-    def law_of(j: int) -> tuple[list[int], list[float]]:
-        if abs(mass[j] - 1.0) > _CDF_SLACK:
-            raise ValueError(f"column mass {float(mass[j])} is not 1 within {_CDF_SLACK}")
-        lo, hi = bounds[j], bounds[j + 1]
-        cdf = law[lo:hi].tolist()
-        cdf[-1] = 1.0
-        return rows[lo:hi].tolist(), cdf
 
-    return law_of
+def _walk(laws, path: list[int], uniforms: list[float]) -> int:
+    """Run the jump chain from path[-1], appending the state it enters on each
+    uniform, and return the number of jumps; it stops early in a state whose span
+    is a marker."""
+    targets, cdf, spans = laws
+    start = len(path)
+    current = path[-1]
+    append = path.append
+    for u in uniforms:
+        span = spans[current]
+        if span.__class__ is not tuple:
+            break
+        lo, hi = span
+        current = targets[bisect_right(cdf, u, lo, hi)]
+        append(current)
+    return len(path) - start
 
 
 def _initial_state(chain: MarkovChain, init) -> int:
@@ -135,20 +151,15 @@ def simulate_dtmc(chain: MarkovChain, init: int, steps: int, seed: int) -> Traje
     steps = _whole_number(steps, "steps")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    law_of = _jump_laws(chain)
+    laws = _jump_laws(chain)
     rng = _rng(seed)
-    cdf_cache: dict[int, tuple[list[int], list[float]]] = {}
     states = [init]
-    current = init
     # Philox gives the same doubles in a batch as one by one, so the path does not
     # depend on the chunk; a fixed chunk bounds memory for any number of steps
     for start in range(0, steps, _UNIFORM_CHUNK):
-        for u in rng.random(min(_UNIFORM_CHUNK, steps - start)).tolist():
-            if current not in cdf_cache:
-                cdf_cache[current] = law_of(current - 1)
-            targets, cdf = cdf_cache[current]
-            current = targets[bisect.bisect_right(cdf, u)]
-            states.append(current)
+        uniforms = rng.random(min(_UNIFORM_CHUNK, steps - start)).tolist()
+        if _walk(laws, states, uniforms) < len(uniforms):
+            raise laws[2][states[-1]]  # the path entered a state whose column's mass is off
     return Trajectory(kind="dtmc", states=states, times=None, t_max=None,
                       num_states=chain.num_states, init=init, seed=seed)
 
@@ -160,6 +171,11 @@ def simulate_ctmc(chain: MarkovChain, init: int, t_max: float, seed: int,
     In state j the holding time is exponential with rate |q_jj| and the
     jump lands on i with probability q_ij / |q_jj|; states with zero exit
     rate hold forever.
+
+    Each chunk of draws first runs the jump chain alone, up to an absorbing
+    state or one whose mass is off; the entry times then come from one
+    cumulative sum, which adds in the order of a scalar loop, and the path is
+    cut at the first time that reaches t_max.
     """
     if chain.kind != "intensity":
         raise ValueError("continuous-time simulation needs an intensity matrix")
@@ -168,37 +184,43 @@ def simulate_ctmc(chain: MarkovChain, init: int, t_max: float, seed: int,
         raise ValueError("t_max must be finite and positive")
     rates = -chain.entries.diagonal()  # exit rates -q_jj
     absorbing = rates <= tol.abs_tol
-    law_of = _jump_laws(chain, np.where(absorbing, 1.0, rates))
+    laws = _jump_laws(chain, np.where(absorbing, 1.0, rates))
+    spans = laws[2]
+    # the mean holding time 1 / rate of each state, 1-based; an absorbing state
+    # ends the walk (span None) and never holds
+    scale = np.zeros(len(spans))
+    np.divide(1.0, rates, out=scale[1:], where=~absorbing)
+    for j in np.flatnonzero(absorbing).tolist():
+        spans[j + 1] = None
     # holding times and jump uniforms come from two streams, each drawn in chunks
     bits = np.random.Philox(seed)
-    holds = _chunked(np.random.Generator(bits).standard_exponential)
-    uniforms = _chunked(np.random.Generator(bits.jumped()).random)
-    bisect_right = bisect.bisect_right  # looked up once: the loop runs once per event
+    hold_rng, jump_rng = np.random.Generator(bits), np.random.Generator(bits.jumped())
     states = [init]
     times = [0.0]
-    current = init
-    t = 0.0
-    # per state: the mean holding time 1 / rate (0.0 if absorbing), jump targets, CDF
-    cdf_cache: dict[int, tuple[float, list[int], list[float]]] = {}
-    for hold, u in zip(holds, uniforms):
-        if current not in cdf_cache:
-            j = current - 1
-            cdf_cache[current] = ((0.0, [], []) if absorbing[j]
-                                  else (1.0 / float(rates[j]), *law_of(j)))
-        scale, targets, cdf = cdf_cache[current]
-        if scale == 0.0:
-            break  # absorbing: holds forever
+    while True:
+        holds = hold_rng.standard_exponential(_UNIFORM_CHUNK)
+        walk = [states[-1]]
+        jumps = _walk(laws, walk, jump_rng.random(_UNIFORM_CHUNK).tolist())
         # numpy draws exponential(scale) as scale * standard_exponential()
-        t_next = t + hold * scale
-        if t_next >= t_max:
-            break
-        if t_next == t:
-            raise ValueError(f"holding time in state {current} vanishes at t={t}: "
+        clock = np.empty(jumps + 1)
+        clock[0] = times[-1]
+        np.multiply(holds[:jumps], scale[walk[:-1]], out=clock[1:])
+        np.add.accumulate(clock, out=clock)  # sequential: clock[k + 1] = clock[k] + hold
+        reached = clock >= t_max
+        end = int(reached.argmax()) if reached.any() else jumps + 1  # walk[:end] precede t_max
+        stalled = np.flatnonzero(clock[1:end] == clock[:end - 1])
+        if stalled.size:
+            k = int(stalled[0])
+            raise ValueError(f"holding time in state {walk[k]} vanishes at t={float(clock[k])}: "
                              "the path cannot advance in float64")
-        t = t_next
-        current = targets[bisect_right(cdf, u)]
-        states.append(current)
-        times.append(t)
+        states += walk[1:end]
+        times += clock[1:end].tolist()
+        if end <= jumps:
+            break  # the horizon is reached
+        if jumps < _UNIFORM_CHUNK:  # the walk stopped in the path's last state
+            if spans[walk[-1]] is None:
+                break  # absorbing: holds forever
+            raise spans[walk[-1]]  # the column's mass is off
     return Trajectory(kind="ctmc", states=states, times=times, t_max=t_max,
                       num_states=chain.num_states, init=init, seed=seed)
 
@@ -245,7 +267,7 @@ def occupation_summary(chain: MarkovChain, traj: Trajectory,
     summary = {
         "seed": traj.seed,
         "init": traj.init,
-        "occupation": [float(x) for x in occupation],
+        "occupation": occupation.tolist(),
         "closed_set": home,
         "max_dev_sigma": None,
     }

@@ -96,10 +96,12 @@ def verify_an(n: int, L: int, tol: Tolerance = DEFAULT_TOL) -> list[Verification
         detected=detected, formula=formula))
 
     reference = lattice_an.chain_spectrum(ham, tol)  # one solve for both affine images
+    del ham  # each chain keeps its dense matrix once read: hold one at a time
     checks.append(VerificationReport.from_residuals(
         "spectrum_affine_transition",
         {"max_dev": markov.spectrum_coincidence(reference, p_chain, 1.0 / target, 0.0, tol)},
         tol.abs_tol * 100))
+    del p_chain
     checks.append(VerificationReport.from_residuals(
         "spectrum_affine_intensity",
         {"max_dev": markov.spectrum_coincidence(reference, q_chain, 1.0, -float(target), tol)},

@@ -1,8 +1,10 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from lattice_markov import cli, verify
 from lattice_markov.linalg import load_matrix_csv, load_matrix_json
+from lattice_markov.reporting import VerificationReport
 
 
 def run_cli(args, capsys):
@@ -84,6 +87,33 @@ def test_sub_resolution_tolerance_gives_a_full_report(args, capsys):
     _, default_out, _ = run_cli([a for a in args if a not in ("--tol", "0", "1e-17")], capsys)
     assert names == [c["name"] for c in json.loads(default_out)["checks"]]
     assert "stationary_uniform" in names
+
+
+def test_residual_equal_to_the_tolerance_passes(capsys):
+    """A check passes when each residual is at most tol, as markov.validate does: at
+    tol 0 exactly the checks with a nonzero residual fail."""
+    code, out, _ = run_cli(["verify", "an", "--n", "1", "--L", "3", "--tol", "0"], capsys)
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert any(c["tol"] == 0.0 and c["pass"] for c in checks)
+    for check in checks:
+        assert check["pass"] == all(abs(v) <= check["tol"] for v in check["residuals"].values())
+    assert {c["name"] for c in checks if not c["pass"]} == {"spectrum_affine_intensity",
+                                                             "stationary_uniform"}
+    assert not VerificationReport.from_residuals("nan", {"r": math.nan}, 1.0).passed
+
+
+def test_verify_an_holds_one_dense_chain_at_a_time():
+    """H and P are released once their spectra are checked, so the peak stays below
+    two dense dim x dim float64 matrices (8 MiB each at dim 1024), not three."""
+    verify.verify_an(1, 4)  # imports and caches outside the traced call
+    tracemalloc.start()
+    try:
+        verify.verify_an(1, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * 1024 ** 2
 
 
 @pytest.mark.parametrize("argv", [

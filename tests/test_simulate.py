@@ -335,11 +335,26 @@ def _support_cdf(support: np.ndarray, values: np.ndarray) -> tuple[list[int], li
 
 def _laws(chain):
     """The jump laws as the sampler of the chain's kind builds them: an intensity
-    matrix jumps at its exit rate, and its absorbing columns are divided by 1.0."""
+    matrix jumps at its exit rate, and its absorbing columns are divided by 1.0.
+    law_of(j) reads column j's (states, cdf) off the packed arrays, or raises the
+    error that a path entering state j + 1 raises."""
     if chain.kind == "transition":
-        return sim._jump_laws(chain)
-    rates = -chain.entries.diagonal()
-    return sim._jump_laws(chain, np.where(rates <= DEFAULT_TOL.abs_tol, 1.0, rates))
+        targets, cdf, spans = sim._jump_laws(chain)
+    else:
+        rates = -chain.entries.diagonal()
+        targets, cdf, spans = sim._jump_laws(
+            chain, np.where(rates <= DEFAULT_TOL.abs_tol, 1.0, rates))
+    assert len(spans) == chain.num_states + 1 and spans[0] is None
+    assert len(targets) == len(cdf) and targets.typecode == "q" and cdf.typecode == "d"
+
+    def law_of(j):
+        span = spans[j + 1]
+        if isinstance(span, ValueError):
+            raise span
+        lo, hi = span
+        return targets[lo:hi].tolist(), cdf[lo:hi].tolist()
+
+    return law_of
 
 
 @pytest.mark.parametrize("chain", [
@@ -589,6 +604,104 @@ def test_off_mass_column_raises_only_on_a_path_that_visits_it():
         sim.simulate_dtmc(p, 2, 50, seed=1)
     with pytest.raises(ValueError, match="column mass 1.00000000005 is not 1"):
         sim.simulate_ctmc(q, 2, 50.0, seed=1)
+
+
+@pytest.mark.parametrize("cut", [1023, sim._UNIFORM_CHUNK, 1500],
+                         ids=["last_of_first_chunk", "first_of_second_chunk", "second_chunk"])
+def test_ctmc_horizon_cut_equals_the_dense_route(cut):
+    """The horizon is crossed by the cut-th holding time (0-based): on the last draw of
+    a chunk, on the first of the next, or inside it. A t_max equal to an entry time
+    ends the path before that entry."""
+    chain = build_ladder_markov(LadderParams(18.0, 1.0, 0.0), 3, "intensity")
+    _, times = _dense_route_path(chain, 40, 6.0, 5)
+    assert len(times) > 2 * sim._UNIFORM_CHUNK
+    t_max = times[cut + 1]
+    traj = sim.simulate_ctmc(chain, 40, t_max, seed=5)
+    assert len(traj.states) == cut + 1 and traj.times[-1] < t_max
+    assert (traj.states, traj.times) == _dense_route_path(chain, 40, t_max, 5)
+
+
+def _leaky_q():
+    # 2 and 3 swap at rate 1; 2 leaks into the absorbing state 1 at rate 1e-3
+    return np.array([[0.0, 1e-3, 0.0], [0.0, -1.001, 1.0], [0.0, 1.0, -1.0]])
+
+
+@pytest.mark.parametrize("seed,events", [(4, 698), (7, 1298)],
+                         ids=["first_chunk", "second_chunk"])
+def test_ctmc_absorbed_mid_chunk_equals_the_dense_route(seed, events):
+    chain = MarkovChain.from_matrix(kind="intensity", spec=None, matrix=_leaky_q())
+    traj = sim.simulate_ctmc(chain, 3, 1e9, seed=seed)
+    assert len(traj.states) - 1 == events and traj.states[-1] == 1
+    assert (traj.states, traj.times) == _dense_route_path(chain, 3, 1e9, seed)
+
+
+def test_ctmc_raises_only_for_states_entered_before_the_horizon():
+    """The jump chain runs ahead of the clock within a chunk, so it reaches states
+    that the path never enters; an off-mass column or a vanishing holding time there
+    raises nothing. The first holding time ends at t1; a horizon of t1 stops the path
+    in state 1, one just past t1 enters state 2."""
+    first_hold = float(np.random.Generator(np.random.Philox(0)).standard_exponential())
+    off_mass = MarkovChain.from_matrix(kind="intensity", spec=None,
+                                       matrix=np.array([[-1.0, 1.0 + 5e-11], [1.0, -1.0]]))
+    stalls = MarkovChain.from_matrix(kind="intensity", spec=None,
+                                     matrix=np.array([[-1e-3, 1e20], [1e-3, -1e20]]))
+    for chain, t1, error in ((off_mass, first_hold, "column mass"),  # 1 / 1e-3 is 1e3 exactly
+                             (stalls, first_hold * 1e3, "cannot advance")):
+        traj = sim.simulate_ctmc(chain, 1, t1, seed=0)
+        assert traj.states == [1] and traj.times == [0.0]
+        with pytest.raises(ValueError, match=error):
+            sim.simulate_ctmc(chain, 1, math.nextafter(t1, math.inf), seed=0)
+
+
+def _random_chain(kind, dim, weights):
+    """A column-stochastic or intensity matrix from non-negative weights; an all-zero
+    column gives an absorbing state."""
+    m = np.array(weights, dtype=float).reshape(dim, dim)
+    if kind == "transition":
+        sums = m.sum(axis=0)
+        m = np.where(sums > 0, m / np.where(sums > 0, sums, 1.0), np.eye(dim))
+    else:
+        np.fill_diagonal(m, 0.0)
+        m -= np.diag(m.sum(axis=0))
+    return MarkovChain.from_matrix(kind=kind, spec=None, matrix=m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["transition", "intensity"]),
+       st.integers(1, 5).flatmap(lambda dim: st.tuples(
+           st.just(dim),
+           st.lists(st.sampled_from([0.0, 0.0, 1e-3, 0.25, 1.0, 3.0, 7.5]),
+                    min_size=dim * dim, max_size=dim * dim),
+           st.integers(1, dim))),
+       st.integers(0, 2 ** 32), st.sampled_from([1, 3, sim._UNIFORM_CHUNK]),
+       st.floats(0.01, 200.0))
+def test_random_small_chains_equal_the_dense_route(kind, shape, seed, chunk, horizon):
+    dim, weights, init = shape
+    chain = _random_chain(kind, dim, weights)
+    horizon = int(horizon * 10) if kind == "transition" else horizon
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_UNIFORM_CHUNK", chunk)
+        if kind == "transition":
+            traj = sim.simulate_dtmc(chain, init, horizon, seed)
+        else:
+            traj = sim.simulate_ctmc(chain, init, horizon, seed)
+    assert (traj.states, traj.times) == _dense_route_path(chain, init, horizon, seed)
+
+
+def test_wide_ctmc_path_packs_its_laws_in_few_objects():
+    """The packed laws take no Python object per entry and no list per visited state:
+    a dim-4096 ladder path with thousands of first visits stays far below the
+    21 MiB that per-state lists of the CDF and targets took."""
+    chain = build_ladder_markov(LadderParams(16.0, 0.0, 0.0), 6, "intensity")
+    sim.simulate_ctmc(build_an_markov(ChainSpec(1, 3), "intensity"), 2, 5.0, seed=1)
+    tracemalloc.start()
+    try:
+        traj = sim.simulate_ctmc(chain, 1101, 10.0, seed=271041745)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(set(traj.states)) > 3000
+    assert peak < 12 * 1024 ** 2
 
 
 @pytest.mark.parametrize("chain,init,t_max", [
