@@ -91,7 +91,7 @@ def symmetry_residual(h: LatticeHamiltonian) -> float:
 
 def chain_spectrum(h: LatticeHamiltonian, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Ascending spectrum of a symmetric chain Hamiltonian."""
-    return symmetric_eigenvalues(h.matrix, tol)
+    return symmetric_eigenvalues(h.entries, tol)
 
 
 def tl_decomposition_residuals(n: int, L: int) -> tuple[float, float]:

@@ -1,10 +1,10 @@
 """Real linear algebra used by every model in the package.
 
 Matrices are plain 2-D float64 numpy arrays. A lattice operator, a sum of
-one small kernel over every site or bond, is also held as its sorted
-non-zero entries (`Entries`), built from the kernel; its dense matrix is a
-scatter of them. All public routines are pure functions; their inputs are
-never mutated.
+one small kernel over every site or bond, is held as its sorted non-zero
+entries (`Entries`); spectra and the semigroup gather each connected block
+from them, and its dense matrix is only for export. All public routines are
+pure functions; their inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class Entries(NamedTuple):
 class _HeldAsEntries:
     """The part MarkovChain and LatticeHamiltonian share: a frozen value whose matrix
     is its read-only `entries`. `matrix` scatters them into a read-only dense array
-    on first use and keeps it, for linear algebra and export."""
+    on first use and keeps it, for export."""
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -172,17 +172,6 @@ def embed_one_site(op, i: int, L: int, d: int) -> np.ndarray:
     return np.kron(np.kron(np.eye(d ** (i - 1)), op), np.eye(d ** (L - i)))
 
 
-def _off_diagonal(m: np.ndarray) -> np.ndarray:
-    """The off-diagonal entries of a square matrix as an (n-1) x n view.
-
-    In C order the diagonal entries sit n + 1 apart, so dropping the first
-    one and the last column of the rest leaves only off-diagonal entries.
-    Nothing is copied for a C-contiguous m.
-    """
-    n = m.shape[0]
-    return m.ravel()[1:].reshape(n - 1, n + 1)[:, :-1]
-
-
 def commutator(a, b) -> np.ndarray:
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
@@ -239,14 +228,15 @@ def is_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     return symmetry_defect(a) <= bound
 
 
-def _symmetrised(blocks: list[np.ndarray], tol: Tolerance) -> list[np.ndarray]:
-    """0.5 (B + B^T) of each block, so that roundoff asymmetry cannot leak into an
-    eigen solve. The test is is_symmetric's on the block-diagonal matrix they form:
-    its defect and norm are the root-sum-squares of the blocks' ones."""
-    defect = math.hypot(*map(symmetry_defect, blocks))
-    if defect > max(tol.abs_tol, tol.rel_tol * math.hypot(*map(np.linalg.norm, blocks))):
+def _symmetrised(e: Entries, tol: Tolerance) -> Entries:
+    """Entries of 0.5 (A + A^T), so that roundoff asymmetry cannot leak into an eigen
+    solve; A is refused as `is_symmetric` refuses it, with |A - A^T|_F from entries."""
+    n, v = e.dim, e.values
+    keys = np.concatenate([e.cols * n + e.rows, e.rows * n + e.cols])  # A, then A^T
+    defect = float(np.linalg.norm(_merged(keys.copy(), np.concatenate([v, -v]), n).values))
+    if defect > max(tol.abs_tol, tol.rel_tol * float(np.linalg.norm(v))):
         raise ValueError(f"matrix is not symmetric within tolerance (defect {defect:.3e})")
-    return [0.5 * (b + b.T) for b in blocks]
+    return _merged(keys, np.concatenate([0.5 * v, 0.5 * v]), n)
 
 
 def _strongly_connected_components(n: int, tails: np.ndarray,
@@ -339,86 +329,98 @@ def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1) if n else []
 
 
-def _blocks(m: np.ndarray) -> list[np.ndarray]:
+def _blocks(e: Entries) -> list[np.ndarray]:
     """0-based sorted index arrays of the connected components of the graph with an
-    edge wherever m[i, j] or m[j, i] is non-zero, so no entry of m lies off the
-    blocks; ordered by first member."""
-    n = len(m)
-    rows, cols = np.nonzero(m != 0)  # faster than np.nonzero(m) on floats
+    edge wherever (i, j) or (j, i) holds an entry, so no entry lies off the blocks;
+    ordered by first member."""
+    rows, cols, _, n = e
     edges = _merged(np.concatenate([cols * n + rows, rows * n + cols]), np.ones(2 * len(rows)), n)
     return _components(n, edges.rows, edges.cols)
 
 
+def _gathered(e: Entries, index: np.ndarray) -> np.ndarray:
+    """m[np.ix_(index, index)] of the matrix m the entries hold, for distinct 0-based index."""
+    where = np.full(e.dim, -1)  # each state's place in index
+    where[index] = np.arange(len(index))
+    r, c = where[e.rows], where[e.cols]
+    inside = (r >= 0) & (c >= 0)
+    block = np.zeros((len(index), len(index)))
+    block[r[inside], c[inside]] = e.values[inside]
+    return block
+
+
 def symmetric_eigenvalues(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Ascending eigenvalues (with multiplicity) of a symmetric matrix, by
-    `np.linalg.eigvalsh` on each connected block of its support (`_blocks`);
-    no eigenvectors are computed. Symmetry is tested as in `is_symmetric`."""
-    a = as_matrix(a)
-    index = _blocks(a)  # a matrix that is one block is used as it is, not copied
-    blocks = _symmetrised([a] if len(index) == 1 else [a[np.ix_(b, b)] for b in index], tol)
-    parts = [np.linalg.eigvalsh(s) for s in blocks]
+    """Ascending eigenvalues (with multiplicity) of a symmetric matrix, dense or held
+    as Entries, by `np.linalg.eigvalsh` on each connected block of its support
+    (`_blocks`) of 0.5 (A + A^T); no eigenvectors are computed."""
+    e = a if isinstance(a, Entries) else nonzero_entries(a)
+    blocks, e = _blocks(e), _symmetrised(e, tol)
+    parts = [np.linalg.eigvalsh(_gathered(e, b)) for b in blocks]
     return np.sort(np.concatenate([np.empty(0)] + parts))  # [] for a 0 x 0 matrix
 
 
 def intensity_exp(q, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Transition semigroup e^(Q t) of an intensity matrix by uniformization.
+    """Transition semigroup e^(Q t) of an intensity matrix (dense or Entries).
 
     Off-diagonal entries of q must be non-negative and every column must
     sum to zero (within tolerance); t must be finite and non-negative.
     Uniformization expands e^(Qt) as a Poisson mixture of powers of the
     substochastic jump kernel I + Q/lam, so the result is non-negative by
-    construction; the series is truncated once the Poisson tail weight
-    drops below abs_tol. Each connected block of q's support (`_blocks`)
-    is uniformized on its own, with its own rate lam; e^(Qt) is zero off them.
+    construction. Each connected block of q's support (`_blocks`) is
+    uniformized on its own, with its own rate lam; e^(Qt) is zero off them.
     """
-    q = as_matrix(q)
-    n = q.shape[0]
-    if q.shape[0] != q.shape[1]:
-        raise ValueError("intensity matrix must be square")
+    rows, cols, values, n = e = q if isinstance(q, Entries) else nonzero_entries(q)
     if not 0.0 <= t < math.inf:
         raise ValueError("time must be finite and non-negative")
-    if _off_diagonal(q).min(initial=0.0) < -tol.abs_tol:
+    if values[rows != cols].min(initial=0.0) < -tol.abs_tol:
         raise ValueError("intensity matrix has a negative off-diagonal entry")
-    colsums = q.sum(axis=0)
-    if np.max(np.abs(colsums)) > max(tol.abs_tol, tol.rel_tol * max(1.0, float(np.abs(q).max()))):
+    bound = max(tol.abs_tol, tol.rel_tol * max(1.0, float(np.abs(values).max(initial=0.0))))
+    if np.abs(np.bincount(cols, values, n)).max(initial=0.0) > bound:  # sums in row order
         raise ValueError("intensity matrix columns do not sum to zero")
-    blocks = _blocks(q)
-    if len(blocks) == 1:  # no copy in or out of a matrix that is one block
-        return _uniformized(q, t, tol)
+    blocks = _blocks(e)
+    if len(blocks) == 1:  # no copy out of a matrix that is one block
+        return _uniformized(e, blocks[0], t, tol)
     result = np.zeros((n, n))
     for b in blocks:
-        result[np.ix_(b, b)] = _uniformized(q[np.ix_(b, b)], t, tol)
+        result[np.ix_(b, b)] = _uniformized(e, b, t, tol)
     return result
 
 
-def _uniformized(block: np.ndarray, t: float, tol: Tolerance) -> np.ndarray:
-    """e^(Q t) of one connected block of an intensity matrix, at the block's own rate."""
-    lam = float(np.max(np.abs(np.diag(block))))
+def _uniformized(e: Entries, index: np.ndarray, t: float, tol: Tolerance) -> np.ndarray:
+    """e^(Q t) of one connected block of an intensity matrix, at the block's own rate.
+    Each of the s squarings doubles the Poisson mass the series leaves out and the
+    roundoff, so the series runs to a tail of abs_tol / 2^s and the squares' column
+    mass is checked."""
+    kernel, m = _gathered(e, index), len(index)  # made I + Q/lam in place: one block held
+    lam = float(np.max(np.abs(np.diagonal(kernel))))
     if lam == 0.0 or t == 0.0:
-        return np.eye(len(block))
+        return np.eye(m)
     mu, squarings = lam * t, 0
     if mu == math.inf:  # halving would never bring it below 500
         raise ValueError(f"rate {lam} times time {t} overflows float64")
     while mu > 500.0:  # halve the horizon to keep exp(-mu) above underflow
         mu, squarings = mu / 2.0, squarings + 1
-    # clip roundoff-negative entries only
-    kernel = np.clip(np.eye(len(block)) + block / lam, 0.0, None)
+    kernel /= lam
+    kernel.flat[::m + 1] += 1.0
+    np.clip(kernel, 0.0, None, out=kernel)  # clip roundoff-negative entries only
     weight = math.exp(-mu)  # k = 0 term
-    series = weight * np.eye(len(block))
-    power = np.eye(len(block))
+    series, power = weight * np.eye(m), np.eye(m)
     accumulated, k = weight, 0
     max_terms = int(mu + 12.0 * math.sqrt(mu) + 60.0)
-    while 1.0 - accumulated > tol.abs_tol and k < max_terms:
+    tail = tol.abs_tol / 2.0 ** squarings
+    while 1.0 - accumulated > tail and k < max_terms:
         k += 1
         power = kernel @ power
         weight *= mu / k
         series += weight * power
         accumulated += weight
-    if 1.0 - accumulated > tol.abs_tol:
-        raise ValueError(f"uniformization truncated after {k} terms with Poisson mass "
-                         f"{1.0 - accumulated:.3e} unaccounted (tolerance {tol.abs_tol})")
+    if 1.0 - accumulated > tail:
+        raise ValueError(f"uniformization truncated after {k} terms and {squarings} squarings: "
+                         f"Poisson mass {1.0 - accumulated:.3e} unaccounted (tolerance {tail:.3e})")
     for _ in range(squarings):  # e^(2Qs) = (e^(Qs))^2 keeps entries non-negative
         series = series @ series
+    if squarings and (lost := float(np.abs(series.sum(axis=0) - 1.0).max())) > tol.abs_tol:
+        raise ValueError(f"uniformization lost column mass {lost:.3e} over {squarings} squarings")
     return series
 
 

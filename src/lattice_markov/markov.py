@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice_an import ChainSpec, _LatticeSpec, two_site_h
-from .linalg import (Entries, _components, _HeldAsEntries, _off_diagonal,
+from .linalg import (Entries, _components, _gathered, _HeldAsEntries,
                      _strongly_connected_components, as_matrix, check_dense_size,
                      embedded_entries, intensity_exp, nonzero_entries, symmetric_eigenvalues)
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
@@ -50,12 +50,12 @@ class MarkovChain(_HeldAsEntries):
 
     The read-only entries, sorted by column, are the chain's one copy of its matrix:
     a lattice chain's are summed from its kernel, and `from_matrix` reads an ad-hoc
-    matrix's once. Structure and sampling read them; `matrix` scatters them into a
-    read-only dense array on first use, for linear algebra and export. spec may be
-    None for ad-hoc matrices that carry no lattice encoding. symmetric records that
-    the matrix is known to equal its transpose exactly: a lattice chain's kernel is
-    symmetric, and `from_matrix` compares the matrix it reads with its transpose.
-    `closed_sets` then takes connected components for the closed sets.
+    matrix's once. Every analysis reads them; `matrix` scatters them into a read-only
+    dense array on first use, for export. spec may be None for ad-hoc matrices that
+    carry no lattice encoding. symmetric records that the matrix is known to equal
+    its transpose exactly: a lattice chain's kernel is symmetric, and `from_matrix`
+    compares the matrix it reads with its transpose. `closed_sets` then takes
+    connected components for the closed sets.
     """
 
     kind: str  # "transition" | "intensity"
@@ -149,7 +149,7 @@ def _local_chain(spec: ChainSpec | LadderSpec, kernel: np.ndarray, column_sum: f
             raise ValueError(f"parameters outside the non-negativity region "
                              f"(min entry value {worst})")
     elif kind == "intensity":
-        worst = float(_off_diagonal(kernel).min(initial=0.0))
+        worst = float(kernel[~np.eye(len(kernel), dtype=bool)].min(initial=0.0))
         if worst < 0:
             raise ValueError(f"parameters give a negative off-diagonal rate "
                              f"(min off-diagonal value {worst})")
@@ -319,8 +319,7 @@ def stationary_distribution(chain: MarkovChain, closed_set,
     leak = float(np.abs(values[inside[cols] & ~inside[rows]]).max(initial=0.0))
     if leak > EDGE_THRESHOLD:
         raise ValueError(f"set is not closed: outgoing rate {leak}")
-    sub = chain.matrix[np.ix_(idx, idx)]
-    vec = _null_space_1d(sub, tol.abs_tol)
+    vec = _null_space_1d(_gathered(chain.entries, idx), tol.abs_tol)
     total = vec.sum()
     if abs(total) < tol.abs_tol:
         raise ValueError("null vector has zero mass")
@@ -348,7 +347,7 @@ def spectrum_coincidence(reference, chain: MarkovChain, scale: float, shift: flo
         raise ValueError(f"reference spectrum of shape {ref.shape} does not match "
                          f"a chain of {chain.num_states} states")
     ref = np.sort(ref)
-    got = symmetric_eigenvalues(chain.matrix, tol)
+    got = symmetric_eigenvalues(chain.entries, tol)
     return float(np.max(np.abs(got - (scale * ref + shift))))
 
 
@@ -357,4 +356,4 @@ def transition_semigroup(chain: MarkovChain, t: float,
     """e^(Q t) for an intensity chain; a valid transition matrix for t >= 0."""
     if chain.kind != "intensity":
         raise ValueError("semigroup is generated by an intensity matrix")
-    return intensity_exp(chain.matrix, t, tol)
+    return intensity_exp(chain.entries, t, tol)

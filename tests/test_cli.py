@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lattice_markov import cli, verify
+from lattice_markov import cli, linalg, markov, verify
 from lattice_markov.linalg import load_matrix_csv, load_matrix_json
 from lattice_markov.reporting import VerificationReport
 
@@ -103,9 +103,10 @@ def test_residual_equal_to_the_tolerance_passes(capsys):
     assert not VerificationReport.from_residuals("nan", {"r": math.nan}, 1.0).passed
 
 
-def test_verify_an_holds_one_dense_chain_at_a_time():
-    """H and P are released once their spectra are checked, so the peak stays below
-    two dense dim x dim float64 matrices (8 MiB each at dim 1024), not three."""
+def test_verify_an_peaks_below_one_dense_matrix():
+    """Spectra, stationary laws and the Q pi residual read the chains' entries and
+    gather one sector at a time, so the peak stays below one dense dim x dim float64
+    matrix (8 MiB at dim 1024)."""
     verify.verify_an(1, 4)  # imports and caches outside the traced call
     tracemalloc.start()
     try:
@@ -113,7 +114,26 @@ def test_verify_an_holds_one_dense_chain_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * 1024 ** 2
+    assert peak < 8 * 1024 ** 2
+
+
+def test_numerics_read_entries_not_the_dense_matrix(monkeypatch, capsys):
+    """Only export scatters a chain or Hamiltonian into its dense matrix."""
+    def refuse(self):
+        raise AssertionError("a dense matrix was read")
+
+    monkeypatch.setattr(linalg._HeldAsEntries, "matrix", property(refuse))
+    for argv in (["verify", "an", "--n", "1", "--L", "5"], ["verify", "ladder", "--L", "3"],
+                 ["spectrum", "an", "--n", "2", "--L", "4"],
+                 ["markov", "an", "--n", "1", "--L", "4", "--kind", "Q"],
+                 ["simulate", "ladder", "--L", "2", "--kind", "Q", "--tmax", "5"],
+                 ["simulate", "an", "--L", "4", "--kind", "P", "--steps", "50"]):
+        assert run_cli(argv, capsys)[0] == 0, argv
+    chain = markov.build_an_markov(markov.ChainSpec(2, 3), "intensity")
+    assert markov.transition_semigroup(chain, 0.5).shape == (27, 27)
+    assert markov.stationary_distribution(chain, [2, 4, 10]).sum() == pytest.approx(1.0)
+    with pytest.raises(AssertionError, match="dense matrix"):
+        chain.matrix
 
 
 @pytest.mark.parametrize("argv", [

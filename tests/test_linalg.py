@@ -244,7 +244,7 @@ def test_blocks_are_the_weakly_connected_components(m):
     # the support need not be symmetric: an edge either way joins two states
     count, labels = connected_components(scipy.sparse.csr_array(m != 0), connection="weak")
     expected = sorted(np.flatnonzero(labels == k).tolist() for k in range(count))
-    assert [b.tolist() for b in linalg._blocks(m)] == expected
+    assert [b.tolist() for b in linalg._blocks(linalg.nonzero_entries(m))] == expected
 
 
 def _scipy_commutator_norm(a, b):
@@ -387,6 +387,35 @@ def test_intensity_exp_long_horizon_squaring_path():
     assert np.max(np.abs(p.sum(axis=0) - 1.0)) < 1e-9
 
 
+@pytest.mark.parametrize("lam_t", [1e4, 1e6])
+def test_intensity_exp_keeps_column_mass_over_many_squarings(lam_t):
+    # 5 and 11 squarings: each doubles the Poisson mass the series leaves out, so the
+    # series runs until that mass is at most abs_tol / 2^s
+    p = linalg.intensity_exp(np.array([[-1.0, 1.0], [1.0, -1.0]]), lam_t)
+    assert np.max(np.abs(p.sum(axis=0) - 1.0)) <= 1e-10
+    assert np.max(np.abs(p - 0.5)) <= 1e-10
+
+
+def test_intensity_exp_refuses_a_horizon_float64_cannot_resolve():
+    # 31 squarings ask for a Poisson tail below 1e-10 / 2^31, under float64's resolution
+    # of 1; the mass left out would have read every entry as 0.407, not 0.5
+    with pytest.raises(ValueError, match=r"uniformization truncated after \d+ terms and 31 squarings"):
+        linalg.intensity_exp(np.array([[-1.0, 1.0], [1.0, -1.0]]), 1e12)
+
+
+def test_intensity_exp_refuses_column_mass_lost_to_roundoff_in_squaring():
+    # lam t = 1e7 takes 15 squarings, which grow roundoff to about 2e-10
+    q = build_an_markov(ChainSpec(1, 6), "intensity").entries
+    assert np.max(np.abs(np.sum(linalg.intensity_exp(q, 1e5), axis=0) - 1.0)) <= 1e-10
+    with pytest.raises(ValueError, match="lost column mass .* over 15 squarings"):
+        linalg.intensity_exp(q, 1e6)
+
+
+def test_empty_matrix_has_an_empty_spectrum_and_semigroup():
+    assert linalg.intensity_exp(np.zeros((0, 0)), 1.0).shape == (0, 0)
+    assert linalg.symmetric_eigenvalues(np.zeros((0, 0))).shape == (0,)
+
+
 def test_intensity_exp_rejects_bad_input():
     q = np.array([[-1.0, 1.0], [1.0, -1.0]])
     with pytest.raises(ValueError):
@@ -448,7 +477,7 @@ def _digit_sectors(n, L):
 
 @pytest.mark.parametrize("n,L", [(1, 6), (2, 4), (3, 3), (1, 10)])
 def test_blocks_are_the_multiset_sectors(n, L):
-    got = linalg._blocks(hamiltonian(ChainSpec(n, L)).matrix)
+    got = linalg._blocks(hamiltonian(ChainSpec(n, L)).entries)
     assert sorted(b.tolist() for b in got) == _digit_sectors(n, L)
 
 
@@ -456,7 +485,7 @@ def test_blocks_are_the_multiset_sectors(n, L):
 @pytest.mark.parametrize("L", [3, 4])
 @pytest.mark.parametrize("kind", ["transition", "intensity"])
 def test_ladder_chain_is_one_block(abc, L, kind):
-    got = linalg._blocks(build_ladder_markov(LadderParams(*abc), L, kind).matrix)
+    got = linalg._blocks(build_ladder_markov(LadderParams(*abc), L, kind).entries)
     assert len(got) == 1 and np.array_equal(got[0], np.arange(4 ** L))
 
 
@@ -465,8 +494,40 @@ def test_blocked_eigenvalues_match_dense_eigvalsh(n, L):
     h = hamiltonian(ChainSpec(n, L)).matrix
     ref = np.linalg.eigvalsh(h)
     got = linalg.symmetric_eigenvalues(h)
-    assert len(linalg._blocks(h)) == math.comb(L + n, n)
+    assert len(linalg._blocks(linalg.nonzero_entries(h))) == math.comb(L + n, n)
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def _dense_blocked_eigenvalues(m):
+    """The dense route: each weak component of m's support gathered with np.ix_,
+    symmetrised as 0.5 (B + B^T) and solved with eigvalsh."""
+    count, labels = connected_components(scipy.sparse.csr_array(m != 0), connection="weak")
+    parts = [np.linalg.eigvalsh(0.5 * (b + b.T)) for b in
+             (m[np.ix_(i, i)] for i in (np.flatnonzero(labels == k) for k in range(count)))]
+    return np.sort(np.concatenate([np.empty(0)] + parts))
+
+
+@pytest.mark.parametrize("family,args,kind", [
+    ("an", (1, 6), "H"), ("an", (1, 10), "H"), ("an", (2, 4), "H"), ("an", (2, 6), "H"),
+    ("an", (3, 5), "H"), ("an", (1, 8), "transition"), ("an", (2, 5), "intensity"),
+    ("ladder", ((16.0, 0.0, 0.0), 3), "transition"), ("ladder", ((18.0, 1.0, 0.0), 4), "intensity")])
+def test_blocked_eigenvalues_equal_the_dense_route_bit_for_bit(family, args, kind):
+    if family == "ladder":
+        held = build_ladder_markov(LadderParams(*args[0]), args[1], kind)
+    else:
+        spec = ChainSpec(*args)
+        held = hamiltonian(spec) if kind == "H" else build_an_markov(spec, kind)
+    got = linalg.symmetric_eigenvalues(held.entries)
+    assert got.tobytes() == _dense_blocked_eigenvalues(held.entries.dense()).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(SPARSE_MATRIX, st.data())
+def test_gathered_block_is_the_dense_submatrix(m, data):
+    index = np.flatnonzero(data.draw(hnp.arrays(bool, len(m))))
+    got = linalg._gathered(linalg.nonzero_entries(m), index)
+    assert got.shape == (len(index), len(index))
+    assert np.array_equal(got, m[np.ix_(index, index)])
 
 
 @pytest.mark.parametrize("n,L,t", [(1, 6, 0.8), (2, 4, 0.7), (1, 9, 1.0)])
@@ -479,7 +540,7 @@ def test_blocks_need_not_be_contiguous():
     q = build_an_markov(ChainSpec(2, 4), "intensity").matrix
     perm = np.random.default_rng(7).permutation(len(q))
     qp = q[np.ix_(perm, perm)]
-    blocks = linalg._blocks(qp)
+    blocks = linalg._blocks(linalg.nonzero_entries(qp))
     assert len(blocks) == 15 and any(np.any(np.diff(b) > 1) for b in blocks)
     assert sorted(np.sort(perm[b]).tolist() for b in blocks) == _digit_sectors(2, 4)
     got = linalg.intensity_exp(qp, 0.7)
@@ -502,7 +563,7 @@ def test_closed_sets_of_a_symmetric_chain_are_its_blocks(family, args, kind):
         chain = build_ladder_markov(LadderParams(*args[0]), args[1], kind)
     # every component of a symmetric chain is closed
     assert np.array_equal(chain.matrix, chain.matrix.T)
-    assert closed_sets(chain).closed_sets == [(b + 1).tolist() for b in linalg._blocks(chain.matrix)]
+    assert closed_sets(chain).closed_sets == [(b + 1).tolist() for b in linalg._blocks(chain.entries)]
 
 
 def test_strongly_connected_components_match_mutual_reachability():
@@ -597,7 +658,7 @@ def test_one_way_rates_join_their_states():
     q[3, 4] = q[4, 3] = 0.5
     q -= np.diag(q.sum(axis=0))
     for m in (q, q.T):
-        assert [b.tolist() for b in linalg._blocks(m)] == [[0, 1, 2], [3, 4]]
+        assert [b.tolist() for b in linalg._blocks(linalg.nonzero_entries(m))] == [[0, 1, 2], [3, 4]]
     assert np.max(np.abs(linalg.intensity_exp(q, 1.2) - scipy.linalg.expm(q * 1.2))) <= 1e-9
 
 
@@ -605,9 +666,9 @@ def test_tiny_coupling_keeps_blocks_joined():
     m = np.zeros((4, 4))
     m[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
     m[2:, 2:] = [[0.0, 2.0], [2.0, 0.0]]
-    assert [b.tolist() for b in linalg._blocks(m)] == [[0, 1], [2, 3]]
+    assert [b.tolist() for b in linalg._blocks(linalg.nonzero_entries(m))] == [[0, 1], [2, 3]]
     m[1, 2] = m[2, 1] = 1e-300
-    assert [b.tolist() for b in linalg._blocks(m)] == [[0, 1, 2, 3]]
+    assert [b.tolist() for b in linalg._blocks(linalg.nonzero_entries(m))] == [[0, 1, 2, 3]]
     assert np.allclose(linalg.symmetric_eigenvalues(m), [-2.0, -1.0, 1.0, 2.0], atol=1e-15)
     q = m - np.diag(m.sum(axis=0))
     assert np.max(np.abs(linalg.intensity_exp(q, 1.5) - scipy.linalg.expm(q * 1.5))) <= 1e-9
@@ -619,10 +680,10 @@ def test_one_sided_entry_is_rejected_as_asymmetric(entry):
     m[entry] = 0.5  # joins states 1 and 3 into one block, with no mirror entry
     with pytest.raises(ValueError) as blocked:
         linalg.symmetric_eigenvalues(m)
-    with pytest.raises(ValueError) as dense:  # the test on the matrix as one block
-        linalg._symmetrised([m], DEFAULT_TOL)
-    assert str(blocked.value) == str(dense.value) == \
-        "matrix is not symmetric within tolerance (defect 7.071e-01)"
+    defect = linalg.symmetry_defect(m)  # the test on the dense matrix as one block
+    assert defect > max(DEFAULT_TOL.abs_tol, DEFAULT_TOL.rel_tol * np.linalg.norm(m))
+    assert str(blocked.value) == f"matrix is not symmetric within tolerance (defect {defect:.3e})" \
+        == "matrix is not symmetric within tolerance (defect 7.071e-01)"
 
 
 def test_blocked_symmetry_test_is_the_global_one():
@@ -655,7 +716,7 @@ def test_intensity_exp_squares_only_the_fast_block():
 def test_one_block_matrix_is_not_copied():
     # a ladder chain is one block: its eigenvalues and semigroup need no copy of it
     q = build_ladder_markov(LadderParams(18.0, 1.0, 0.0), 5, "intensity").matrix
-    assert len(linalg._blocks(q)) == 1
+    assert len(linalg._blocks(linalg.nonzero_entries(q))) == 1
     dense_bytes = q.nbytes  # 8 MiB at dim 1024
     peaks = []
     for run in (lambda: linalg.symmetric_eigenvalues(q), lambda: linalg.intensity_exp(q, 0.05)):
