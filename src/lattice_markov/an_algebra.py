@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, embed_two_site, embedded_sum, frobenius_norm, kron
+from .linalg import as_matrix, embed_two_site, frobenius_norm, kron
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,8 @@ def index_partition_check(n: int) -> bool:
 def coproduct(op: np.ndarray) -> np.ndarray:
     """Two-site coproduct x (x) 1 + 1 (x) x."""
     op = as_matrix(op)
-    return embedded_sum(op, 2, len(op))
+    ident = np.eye(len(op))
+    return np.kron(op, ident) + np.kron(ident, op)
 
 
 def casimir_quadratic_residual(n: int) -> float:

@@ -56,13 +56,22 @@ def spectral_qybe_residual(h, x: float, y: float, shift: float = 16.0) -> float:
     three sites written as (x - 1) h12 + shift * I. The default shift of
     16 pairs with the ladder operator returned by su2_ladder.h_ladder().
     """
+    return spectral_qybe_residuals(h, [(x, y)], shift)[0]
+
+
+def spectral_qybe_residuals(h, points, shift: float = 16.0) -> list[float]:
+    """spectral_qybe_residual at each (x, y) of points, from one embedding of h."""
     h = as_matrix(h)
     d = _local_dim(h)
     h12, h23 = (embed_two_site(h, i, 3, d) for i in (1, 2))
     s = shift * np.eye(d ** 3)
-    lhs = ((x - 1.0) * h12 + s) @ ((x * y - 1.0) * h23 + s) @ ((y - 1.0) * h12 + s)
-    rhs = ((y - 1.0) * h23 + s) @ ((x * y - 1.0) * h12 + s) @ ((x - 1.0) * h23 + s)
-    return frobenius_norm(lhs - rhs)
+
+    def residual(x: float, y: float) -> float:
+        lhs = ((x - 1.0) * h12 + s) @ ((x * y - 1.0) * h23 + s) @ ((y - 1.0) * h12 + s)
+        rhs = ((y - 1.0) * h23 + s) @ ((x * y - 1.0) * h12 + s) @ ((x - 1.0) * h23 + s)
+        return frobenius_norm(lhs - rhs)
+
+    return [residual(x, y) for x, y in points]
 
 
 @dataclass

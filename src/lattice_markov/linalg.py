@@ -56,9 +56,8 @@ def embed_two_site(op, i: int, L: int, d: int) -> np.ndarray:
         raise ValueError(f"two-site operator must be {d * d}x{d * d}, got {op.shape}")
     if not 1 <= i <= L - 1:
         raise ValueError(f"site index i={i} out of range 1..{L - 1}")
-    left = np.eye(d ** (i - 1))
-    right = np.eye(d ** (L - i - 1))
-    return np.kron(np.kron(left, op), right)
+    m = np.kron(np.eye(d ** (i - 1)), op) if i > 1 else op.copy()  # no kron with a 1 x 1 identity
+    return np.kron(m, np.eye(d ** (L - i - 1))) if i < L - 1 else m
 
 
 class Entries(NamedTuple):
@@ -386,11 +385,19 @@ def intensity_exp(q, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return result
 
 
+_SHORT_HORIZON_SQUARINGS = 10  # most squarings taken to shorten lam t to 1 or less
+
+
 def _uniformized(e: Entries, index: np.ndarray, t: float, tol: Tolerance) -> np.ndarray:
-    """e^(Q t) of one connected block of an intensity matrix, at the block's own rate.
-    Each of the s squarings doubles the Poisson mass the series leaves out and the
-    roundoff, so the series runs to a tail of abs_tol / 2^s and the squares' column
-    mass is checked."""
+    """e^(Q t) of one connected block of an intensity matrix, at the block's own rate
+    lam, by scaling and squaring (Moler and Van Loan, SIAM Rev. 45 (2003) 3-49): the
+    series runs over the horizon t / 2^s and its sum is squared s times. s is the
+    least count that brings lam t / 2^s to 500 or less, so that exp(-lam t / 2^s)
+    stays far above underflow, or, if larger, the least that brings it to 1 or less,
+    capped at _SHORT_HORIZON_SQUARINGS: a short horizon needs a few terms, the whole
+    one about lam t. Each squaring doubles the Poisson mass the series leaves out and
+    the roundoff, so truncation gets half the budget, a tail of abs_tol / 2^(s+1),
+    and the squares' column mass is checked against abs_tol."""
     kernel, m = _gathered(e, index), len(index)  # made I + Q/lam in place: one block held
     lam = float(np.max(np.abs(np.diagonal(kernel))))
     if lam == 0.0 or t == 0.0:
@@ -398,7 +405,8 @@ def _uniformized(e: Entries, index: np.ndarray, t: float, tol: Tolerance) -> np.
     mu, squarings = lam * t, 0
     if mu == math.inf:  # halving would never bring it below 500
         raise ValueError(f"rate {lam} times time {t} overflows float64")
-    while mu > 500.0:  # halve the horizon to keep exp(-mu) above underflow
+    # 500 keeps exp(-mu) above underflow; 1 makes the series a few terms long
+    while mu > 500.0 or (mu > 1.0 and squarings < _SHORT_HORIZON_SQUARINGS):
         mu, squarings = mu / 2.0, squarings + 1
     kernel /= lam
     kernel.flat[::m + 1] += 1.0
@@ -407,7 +415,8 @@ def _uniformized(e: Entries, index: np.ndarray, t: float, tol: Tolerance) -> np.
     series, power = weight * np.eye(m), np.eye(m)
     accumulated, k = weight, 0
     max_terms = int(mu + 12.0 * math.sqrt(mu) + 60.0)
-    tail = tol.abs_tol / 2.0 ** squarings
+    # truncation gets half of abs_tol, the squares' roundoff the other half
+    tail = tol.abs_tol / 2.0 ** (squarings + 1) if squarings else tol.abs_tol
     while 1.0 - accumulated > tail and k < max_terms:
         k += 1
         power = kernel @ power
@@ -417,6 +426,7 @@ def _uniformized(e: Entries, index: np.ndarray, t: float, tol: Tolerance) -> np.
     if 1.0 - accumulated > tail:
         raise ValueError(f"uniformization truncated after {k} terms and {squarings} squarings: "
                          f"Poisson mass {1.0 - accumulated:.3e} unaccounted (tolerance {tail:.3e})")
+    del kernel, power  # so that the squares hold two blocks, not four
     for _ in range(squarings):  # e^(2Qs) = (e^(Qs))^2 keeps entries non-negative
         series = series @ series
     if squarings and (lost := float(np.abs(series.sum(axis=0) - 1.0).max())) > tol.abs_tol:

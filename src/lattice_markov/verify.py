@@ -9,6 +9,8 @@ as stated rather than weakened, see the README.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import an_algebra, braid_tl, lattice_an, markov, su2_ladder
@@ -149,8 +151,7 @@ def verify_ladder(a: float, b: float, c: float, L: int = 2,
     checks.append(VerificationReport.from_residuals(
         "ladder_braid", {"residual": braid_tl.qybe_residual(hl)}, 1e-8))
 
-    worst = max(braid_tl.spectral_qybe_residual(hl, x, y)
-                for x in SPECTRAL_GRID for y in SPECTRAL_GRID)
+    worst = max(braid_tl.spectral_qybe_residuals(hl, itertools.product(SPECTRAL_GRID, repeat=2)))
     checks.append(VerificationReport.from_residuals(
         "spectral_braid_grid", {"worst": worst}, 1e-8))
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lattice_markov import an_algebra as ala
-from lattice_markov.linalg import commutator, frobenius_norm, kron, symmetric_eigenvalues
+from lattice_markov.linalg import (commutator, embedded_sum, frobenius_norm, kron,
+                                  symmetric_eigenvalues)
 
 from alternating import alternating_sum
 
@@ -154,6 +155,12 @@ def test_cubic_residuals_equal_kron_pair_route(n):
     expected = (frobenius_norm(lhs1), frobenius_norm(lhs2))
     assert min(expected) > 1.0
     assert ala.casimir_cubic_residuals(n) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coproduct_equals_the_embedded_sum(n):
+    op = np.random.default_rng(n).normal(size=(n + 1, n + 1))
+    assert np.array_equal(ala.coproduct(op), embedded_sum(op, 2, n + 1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

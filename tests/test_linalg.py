@@ -389,8 +389,8 @@ def test_intensity_exp_long_horizon_squaring_path():
 
 @pytest.mark.parametrize("lam_t", [1e4, 1e6])
 def test_intensity_exp_keeps_column_mass_over_many_squarings(lam_t):
-    # 5 and 11 squarings: each doubles the Poisson mass the series leaves out, so the
-    # series runs until that mass is at most abs_tol / 2^s
+    # 10 and 11 squarings: each doubles the Poisson mass the series leaves out, so the
+    # series runs until that mass is at most abs_tol / 2^(s+1), half the budget
     p = linalg.intensity_exp(np.array([[-1.0, 1.0], [1.0, -1.0]]), lam_t)
     assert np.max(np.abs(p.sum(axis=0) - 1.0)) <= 1e-10
     assert np.max(np.abs(p - 0.5)) <= 1e-10
@@ -409,6 +409,25 @@ def test_intensity_exp_refuses_column_mass_lost_to_roundoff_in_squaring():
     assert np.max(np.abs(np.sum(linalg.intensity_exp(q, 1e5), axis=0) - 1.0)) <= 1e-10
     with pytest.raises(ValueError, match="lost column mass .* over 15 squarings"):
         linalg.intensity_exp(q, 1e6)
+
+
+def test_intensity_exp_leaves_squaring_roundoff_half_the_budget():
+    # lam t = 1.8e6 takes 12 squarings; a series run to a tail of abs_tol / 2^12 left
+    # roundoff too little room, and the column mass lost read 1.019e-10
+    q = build_ladder_markov(LadderParams(18.0, 1.0, 0.0), 3, "intensity").entries
+    p = linalg.intensity_exp(q, 3000.0)
+    assert np.max(np.abs(p - scipy.linalg.expm(q.dense() * 3000.0))) <= 1e-9
+    assert np.max(np.abs(p.sum(axis=0) - 1.0)) <= DEFAULT_TOL.abs_tol
+    assert p.min() >= 0.0
+
+
+def test_intensity_exp_squares_a_short_horizon_down_to_rate_one():
+    # lam t = 16 is squared 4 times to lam t / 2^4 = 1, though far below 500; a zero
+    # tolerance refuses the result and the message names the count
+    q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    count = r"(truncated after \d+ terms and|lost column mass .* over) 4 squarings"
+    with pytest.raises(ValueError, match=count):
+        linalg.intensity_exp(q, 16.0, Tolerance(abs_tol=0.0))
 
 
 def test_empty_matrix_has_an_empty_spectrum_and_semigroup():
@@ -530,9 +549,15 @@ def test_gathered_block_is_the_dense_submatrix(m, data):
     assert np.array_equal(got, m[np.ix_(index, index)])
 
 
-@pytest.mark.parametrize("n,L,t", [(1, 6, 0.8), (2, 4, 0.7), (1, 9, 1.0)])
+# lam t from 0.01 to 1e4: A_n (1, 6) has lam = 10, (2, 4) 9 and (1, 9) 16; the ladder
+# chain (18, 1, 0) is one block with lam = 300 at L = 2 and 600 at L = 3
+@pytest.mark.parametrize("n,L,t", [(1, 6, 0.8), (2, 4, 0.7), (1, 9, 1.0),
+                                   (1, 6, 0.001), (1, 6, 0.1), (1, 6, 1.6), (2, 4, 30.0),
+                                   (1, 6, 100.0), (1, 6, 1000.0),
+                                   ("ladder", 2, 0.1), ("ladder", 3, 5.0)])
 def test_blocked_intensity_exp_matches_scipy_expm(n, L, t):
-    q = build_an_markov(ChainSpec(n, L), "intensity").matrix
+    q = (build_ladder_markov(LadderParams(18.0, 1.0, 0.0), L, "intensity") if n == "ladder"
+         else build_an_markov(ChainSpec(n, L), "intensity")).matrix
     assert np.max(np.abs(linalg.intensity_exp(q, t) - scipy.linalg.expm(q * t))) <= 1e-9
 
 
@@ -701,8 +726,9 @@ def test_blocked_symmetry_test_is_the_global_one():
 
 
 def test_intensity_exp_squares_only_the_fast_block():
-    # first block: lam = 400.01, lam * t = 1200.03 > 500, so two squarings, and a
-    # slow mode (rate ~0.01) that has not mixed by t = 3; second block: lam * t = 30
+    # first block: lam = 400.01, lam * t = 1200.03, so ten squarings (two would bring it
+    # below 500), and a slow mode (rate ~0.01) that has not mixed by t = 3; second
+    # block: lam * t = 30, five squarings
     fast = np.array([[-400.0, 400.0, 0.0], [400.0, -400.01, 0.01], [0.0, 0.01, -0.01]])
     slow = 10.0 * np.array([[-1.0, 1.0], [1.0, -1.0]])
     t = 3.0
