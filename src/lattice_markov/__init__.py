@@ -11,10 +11,9 @@ from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 from .linalg import (commutator, embed_one_site, embed_two_site, frobenius_norm,
                      intensity_exp, kron, load_matrix_csv, load_matrix_json,
                      save_matrix_csv, save_matrix_json, symmetric_eigenvalues)
-from .an_algebra import (AnRank, AnRep, casimir, casimir_cubic_residuals,
-                         casimir_quadratic_residual, coproduct, delta_casimir,
-                         delta_casimir_indexed, delta_casimir_sum, fundamental_rep,
-                         index_partition_check, unit_matrix)
+from .an_algebra import (AnRep, casimir, casimir_cubic_residuals, casimir_quadratic_residual,
+                         coproduct, delta_casimir, delta_casimir_indexed, delta_casimir_sum,
+                         fundamental_rep, index_partition_check, unit_matrix)
 from .braid_tl import (TLElement, qybe_residual, rmatrix_from_tl,
                        spectral_qybe_residual, tl_check, tl_from_an)
 from .lattice_an import (ChainSpec, LatticeHamiltonian, chain_spectrum, hamiltonian,

@@ -16,21 +16,6 @@ import numpy as np
 from .linalg import as_matrix, embed_two_site, frobenius_norm, kron
 
 
-@dataclass(frozen=True)
-class AnRank:
-    """Algebra rank n >= 1; the defining representation has dimension n+1."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("rank must be >= 1")
-
-    @property
-    def local_dim(self) -> int:
-        return self.n + 1
-
-
 @dataclass
 class AnRep:
     """Defining-representation generators.
@@ -66,10 +51,10 @@ def cartan_matrix(n: int) -> np.ndarray:
 
 
 def fundamental_rep(n: int) -> AnRep:
-    rank = AnRank(n)
+    if n < 1:
+        raise ValueError("rank must be >= 1")
     cartan = [unit_matrix(a, a, n) - unit_matrix(a + 1, a + 1, n) for a in range(1, n + 1)]
-    pairs = [(a, b) for a in range(1, rank.local_dim + 1)
-             for b in range(a + 1, rank.local_dim + 1)]
+    pairs = [(a, b) for a in range(1, n + 2) for b in range(a + 1, n + 2)]
     raising = [unit_matrix(a, b, n) for a, b in pairs]
     lowering = [unit_matrix(b, a, n) for a, b in pairs]
     return AnRep(n=n, cartan=cartan, raising=raising, lowering=lowering,

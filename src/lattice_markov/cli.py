@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -22,10 +21,6 @@ from .markov import LadderParams, build_an_markov, build_ladder_markov, closed_s
 from .reporting import Tolerance
 from .simulate import occupation_summary, simulate_ctmc, simulate_dtmc, trajectory_to_csv
 from .su2_ladder import h0, h_doubleprime, h_ladder
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("LATTICE_MARKOV_SEED", "0"))
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -128,15 +123,14 @@ def _cmd_markov(args) -> int:
 
 def _cmd_simulate(args) -> int:
     chain = _build_chain(args)
-    seed = args.seed if args.seed is not None else _default_seed()
     if chain.kind == "transition":
         if args.steps is None:
             raise ValueError("discrete-time simulation needs --steps")
-        traj = simulate_dtmc(chain, args.init, args.steps, seed)
+        traj = simulate_dtmc(chain, args.init, args.steps, args.seed)
     else:
         if args.tmax is None:
             raise ValueError("continuous-time simulation needs --tmax")
-        traj = simulate_ctmc(chain, args.init, args.tmax, seed)
+        traj = simulate_ctmc(chain, args.init, args.tmax, args.seed)
     if args.trajectory_out:
         trajectory_to_csv(traj, args.trajectory_out, chain.spec)
     _emit(occupation_summary(chain, traj), args.out)
@@ -198,8 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--init", type=int, default=1, help="initial state (1-based)")
     p_sim.add_argument("--steps", type=int, help="steps for discrete time (kind P)")
     p_sim.add_argument("--tmax", type=float, help="horizon for continuous time (kind Q)")
-    p_sim.add_argument("--seed", type=int,
-                       help="RNG seed (default: LATTICE_MARKOV_SEED or 0)")
+    p_sim.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p_sim.add_argument("--out", help="write the JSON summary to a file")
     p_sim.add_argument("--trajectory-out", help="write the sampled path as CSV")
     p_sim.set_defaults(func=_cmd_simulate)

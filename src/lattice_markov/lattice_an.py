@@ -15,8 +15,8 @@ import numpy as np
 
 from .an_algebra import delta_casimir, fundamental_rep
 from .braid_tl import tl_from_an
-from .linalg import (Entries, _HeldAsEntries, check_dense_size, commutator_norm,
-                     embedded_entries, embedded_sum, frobenius_norm, symmetric_eigenvalues)
+from .linalg import (Entries, _HeldAsEntries, _merged, check_dense_size, commutator_norm,
+                     embedded_entries, symmetric_eigenvalues)
 from .reporting import DEFAULT_TOL, Tolerance
 
 
@@ -104,12 +104,20 @@ def tl_decomposition_residuals(n: int, L: int) -> tuple[float, float]:
         (n+1)(L-1) - (n+1) sum_i e_i    ("minus" reading).
 
     Returns (plus_residual, minus_residual); the minus reading is the one
-    that holds, since E = 1 - H2/(n+1) gives H2 = (n+1)(1 - E).
+    that holds, since E = 1 - H2/(n+1) gives H2 = (n+1)(1 - E). Each residual
+    merges the entries of H, of -/+(n+1) sum_i e_i and of -(n+1)(L-1) on the
+    diagonal, so no dense matrix is built.
     """
     spec = ChainSpec(n, L)
-    h = hamiltonian(spec).matrix
-    e_sum = embedded_sum(tl_from_an(n).matrix, L, spec.local_dim)
-    ident = np.eye(spec.dim)
-    plus = (n + 1) * e_sum + (n + 1) * (L - 1) * ident
-    minus = (n + 1) * (L - 1) * ident - (n + 1) * e_sum
-    return frobenius_norm(h - plus), frobenius_norm(h - minus)
+    h = hamiltonian(spec).entries
+    e_sum = embedded_entries(tl_from_an(n).matrix, L, spec.local_dim)
+    dim = spec.dim
+    diagonal = np.arange(dim) * (dim + 1)
+    keys = np.concatenate([h.cols * dim + h.rows, e_sum.cols * dim + e_sum.rows, diagonal])
+
+    def residual(sign: int) -> float:
+        values = np.concatenate([h.values, -sign * (n + 1) * e_sum.values,
+                                 np.full(dim, -float((n + 1) * (L - 1)))])
+        return float(np.linalg.norm(_merged(keys.copy(), values, dim).values))
+
+    return residual(1), residual(-1)

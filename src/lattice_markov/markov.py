@@ -8,6 +8,7 @@ indexed 1-based at the API surface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,11 @@ class LadderParams:
     a: float
     b: float
     c: float
+
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.a, self.b, self.c)):
+            raise ValueError(f"ladder parameters a, b, c must be finite, "
+                             f"got a={self.a}, b={self.b}, c={self.c}")
 
 
 @dataclass(frozen=True)
@@ -215,14 +221,13 @@ def validate(chain: MarkovChain, tol: Tolerance = DEFAULT_TOL) -> VerificationRe
 
 
 def absorbing_states(chain: MarkovChain, tol: Tolerance = DEFAULT_TOL) -> list[int]:
-    """States with unit self-probability and zero coupling to the rest: no
-    off-diagonal entry above tol in their row or column. Read from the entries."""
+    """States j that keep their mass, p_jj = 1, and that no off-diagonal entry above
+    tol in column j leaves; flow into j does not count. Read from the entries."""
     if chain.kind != "transition":
         raise ValueError("absorbing-state detection expects a transition matrix")
     rows, cols, values, _ = chain.entries
     absorbing = np.abs(chain.entries.diagonal() - 1.0) <= tol.abs_tol
-    coupling = (rows != cols) & (np.abs(values) > tol.abs_tol)
-    absorbing[rows[coupling]] = absorbing[cols[coupling]] = False
+    absorbing[cols[(rows != cols) & (np.abs(values) > tol.abs_tol)]] = False
     return (np.flatnonzero(absorbing) + 1).tolist()
 
 

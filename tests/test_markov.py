@@ -126,10 +126,29 @@ def test_absorbing_states_examples():
     assert mk.absorbing_states(chain) == [1, 8]
     chain = mk.build_an_markov(ChainSpec(2, 2), "transition")
     assert mk.absorbing_states(chain) == [1, 5, 9]
-    # state 1 keeps its mass but receives flow from state 2, so only 3 is absorbing
+    # state 1 keeps its mass; the flow it receives from state 2 does not count
     chain = mk.MarkovChain.from_matrix(kind="transition", spec=None,
                                        matrix=[[1, .5, 0], [0, .5, 0], [0, 0, 1]])
-    assert mk.absorbing_states(chain) == [3]
+    assert mk.absorbing_states(chain) == [1, 3]
+
+
+def test_absorbing_states_agree_with_closed_sets():
+    # gambler's ruin on three states: both ends absorb, the middle splits its mass
+    ruin = mk.MarkovChain.from_matrix(kind="transition",
+                                      matrix=[[1, .5, 0], [0, 0, 0], [0, .5, 1]])
+    assert mk.absorbing_states(ruin) == mk.closed_sets(ruin).absorbing == [1, 3]
+    # on valid transition matrices whose off-diagonal entries are 0 or >= 1e-3 a
+    # unit diagonal and a closed singleton are the same thing
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(1, 13))
+        m = rng.uniform(1e-3, 1.0 / n, size=(n, n)) * (rng.random((n, n)) < rng.random())
+        m[:, rng.random(n) < 0.3] = 0.0  # some columns leave nothing
+        np.fill_diagonal(m, 0.0)
+        np.fill_diagonal(m, 1.0 - m.sum(axis=0))
+        chain = mk.MarkovChain.from_matrix(kind="transition", matrix=m)
+        assert mk.validate(chain).passed
+        assert mk.absorbing_states(chain) == mk.closed_sets(chain).absorbing
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -425,10 +444,10 @@ def _dense_validate(chain, tol):
 
 
 def _dense_absorbing_states(chain, tol):
-    """absorbing_states as it read the dense matrix."""
+    """absorbing_states read from the dense matrix: column j's off-diagonal extrema."""
     m = chain.matrix
     off = ~np.eye(len(m), dtype=bool)
-    extrema = [f(axis=axis, where=off, initial=0.0) for f in (m.max, m.min) for axis in (0, 1)]
+    extrema = [f(axis=0, where=off, initial=0.0) for f in (m.max, m.min)]
     coupling = np.max(np.abs(extrema), axis=0)
     unit = np.abs(np.diag(m) - 1.0) <= tol.abs_tol
     return (np.flatnonzero(unit & (coupling <= tol.abs_tol)) + 1).tolist()

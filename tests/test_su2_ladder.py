@@ -5,10 +5,11 @@ import pytest
 
 from lattice_markov import su2_ladder as lad
 from lattice_markov.braid_tl import qybe_residual, spectral_qybe_residual
-from lattice_markov.linalg import commutator, frobenius_norm, kron
+from lattice_markov.linalg import commutator, frobenius_norm, invariance_residual, kron
 
 H0_GRID = (-1.0, 0.0, 1.0, 2.0)
 SPECTRAL_GRID = (-1.0, 0.5, 1.0, 2.0, 3.0)
+SPIN = lad.total_spin_generators(4)  # the total spin components on the rung pair
 
 
 def test_spin_generators():
@@ -64,7 +65,7 @@ def test_coupling_operators_basic_properties():
         assert c.shape == (16, 16)
         assert np.array_equal(c, c.T)
         assert np.trace(c) == pytest.approx(0.0, abs=1e-14)
-        assert lad.su2_invariance_residual(c) < 1e-13
+        assert invariance_residual(c, SPIN) < 1e-13
 
 
 def test_coupling_difference_is_mixed_pairs():
@@ -95,7 +96,7 @@ def test_h0_braid_grid(d, f):
 
 
 def test_h0_invariance():
-    assert lad.su2_invariance_residual(lad.h0(1.0, 2.0)) < 1e-8
+    assert invariance_residual(lad.h0(1.0, 2.0), SPIN) < 1e-8
 
 
 def test_ladder_density_braid_and_symmetry():
@@ -183,8 +184,8 @@ def test_positivity_region():
 
 
 def test_su2_invariance_of_table_operators():
-    assert lad.su2_invariance_residual(lad.h_ladder()) < 1e-8
-    assert lad.su2_invariance_residual(lad.h_prime(1.0, 1.0, 1.0)) < 1e-7
+    assert invariance_residual(lad.h_ladder(), SPIN) < 1e-8
+    assert invariance_residual(lad.h_prime(1.0, 1.0, 1.0), SPIN) < 1e-7
 
 
 def test_su2_invariance_residual_equals_per_generator_loop():
@@ -192,7 +193,7 @@ def test_su2_invariance_residual_equals_per_generator_loop():
     op = m + m.T
     expected = max(frobenius_norm(commutator(op, g)) for g in lad.total_spin_generators(4))
     assert expected > 1.0
-    assert lad.su2_invariance_residual(op) == expected
+    assert invariance_residual(op, SPIN) == expected
 
 
 def test_transformed_density_invariance_under_conjugated_generators():
@@ -213,7 +214,7 @@ def test_spin_form_hamiltonian_two_rungs():
     h = lad.spin_form_hamiltonian(2)
     assert h.shape == (16, 16)
     assert np.array_equal(h, h.T)
-    assert lad.su2_invariance_residual(h) < 1e-12
+    assert invariance_residual(h, SPIN) < 1e-12
     w = np.sort(np.linalg.eigvalsh(h))
     assert np.allclose(w[:3], -11.0 / 6.0, atol=1e-10)
     assert np.allclose(w[3:6], 1.0 / 6.0, atol=1e-10)
@@ -227,32 +228,15 @@ def test_spin_form_guard():
         lad.spin_form_hamiltonian(7)
 
 
-def test_affine_spectrum_fit_recovers_exact_map():
-    rng = np.random.default_rng(4)
-    ref = np.sort(rng.normal(size=12))
-    scale, shift, residual = lad.affine_spectrum_fit(ref, 2.5 * ref - 1.25)
-    assert scale == pytest.approx(2.5, abs=1e-12)
-    assert shift == pytest.approx(-1.25, abs=1e-12)
-    assert residual < 1e-12
-
-
 def test_spin_form_vs_ladder_density_fit_is_reported_not_exact():
     # the two 16x16 operators have different eigenvalue multiplicities
-    # ((3,3,10) against (3,13)), so no affine map can match them; the fit
-    # is reported for inspection only
-    w_spin = np.linalg.eigvalsh(lad.spin_form_hamiltonian(2))
-    w_ladder = np.linalg.eigvalsh(lad.h_ladder())
-    scale, shift, residual = lad.affine_spectrum_fit(w_ladder, w_spin)
-    assert np.isfinite([scale, shift, residual]).all()
-    assert residual > 0.1
-
-
-def test_coefficient_match_report():
-    report = lad.coefficient_match_report()
-    assert np.allclose(report["abc"], [0.0, 0.0, 0.0], atol=1e-9)
-    assert report["table_residual"] < 1e-12
-    assert report["matrix_scale"] == pytest.approx(4.0, abs=1e-12)
-    assert report["matrix_residual"] < 1e-10
+    # ((3,3,10) against (3,13)), so no affine map can match their spectra
+    _, spin_counts = np.unique(np.round(np.linalg.eigvalsh(lad.spin_form_hamiltonian(2)), 8),
+                               return_counts=True)
+    levels, counts = np.unique(np.round(np.linalg.eigvalsh(lad.h_ladder()), 8),
+                               return_counts=True)
+    assert spin_counts.tolist() == [3, 3, 10]
+    assert levels.tolist() == [-2.0, 18.0] and counts.tolist() == [3, 13]
 
 
 def test_general_family_braids_only_at_origin():
