@@ -20,7 +20,7 @@ print(f"h0 braid residual, worst over a 16-point (d,f) grid: {worst:.2e}")
 hl = h_ladder()
 print(f"fixed ladder density: braid residual {qybe_residual(hl):.2e}, "
       f"symmetric: {np.allclose(hl, hl.T)}")
-print(f"  eigenvalues: {sorted(set(np.round(np.linalg.eigvalsh(hl), 8)))}")
+print(f"  eigenvalues: {sorted(set(np.round(np.linalg.eigvalsh(hl), 8).tolist()))}")
 
 worst = max(spectral_qybe_residual(hl, x, y)
             for x in (-1, 0.5, 1, 2, 3) for y in (-1, 0.5, 1, 2, 3))
@@ -40,7 +40,7 @@ for abc in [(16, 0, 0), (0, 8, 0), (0, 0, 0)]:
 
 m = h_doubleprime(16, 0, 0)
 print(f"column sums of the transformed density at (16,0,0): "
-      f"{sorted(set(m.sum(axis=0)))} (expect 4*(18+64) = 328)")
+      f"{sorted(set(m.sum(axis=0).tolist()))} (expect 4*(18+64) = 328)")
 
 # the exchange/biquadratic spin Hamiltonian has a different level pattern,
 # so no affine map relates its two-rung spectrum to the fixed density

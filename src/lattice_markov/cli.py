@@ -9,6 +9,7 @@ All state indices printed are 1-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -146,6 +147,7 @@ def _add_model_flags(parser: argparse.ArgumentParser, ladder: bool = True) -> No
         parser.add_argument("--c", type=float, default=0.0, help="ladder parameter c")
 
 
+@functools.cache  # built on the first request and reused: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lattice-markov",

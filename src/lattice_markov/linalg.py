@@ -337,24 +337,58 @@ def _blocks(e: Entries) -> list[np.ndarray]:
     return _components(n, edges.rows, edges.cols)
 
 
-def _gathered(e: Entries, index: np.ndarray) -> np.ndarray:
-    """m[np.ix_(index, index)] of the matrix m the entries hold, for distinct 0-based index."""
-    where = np.full(e.dim, -1)  # each state's place in index
-    where[index] = np.arange(len(index))
-    r, c = where[e.rows], where[e.cols]
-    inside = (r >= 0) & (c >= 0)
-    block = np.zeros((len(index), len(index)))
-    block[r[inside], c[inside]] = e.values[inside]
-    return block
+_STACK_ENTRIES = 2 ** 20  # most entries (8 MiB of float64) in a stack of more than one block
+
+
+def _stacks(e: Entries, blocks: list[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The blocks m[np.ix_(b, b)] of the matrix m the entries hold, for disjoint non-empty
+    0-based index arrays b, in stacks of equal size: yields (members, stack), a (B, size)
+    array of B of the index arrays and a new (B, size, size) array of their blocks.
+    Blocks go by size, then in the order given. A stack holds at most _STACK_ENTRIES
+    entries unless it is one block, so a large block goes alone and the memory peak
+    stays at one largest block. The entries are read once: each is mapped to its block
+    and its place there, and those off the blocks are dropped."""
+    sizes = np.array([len(b) for b in blocks], dtype=np.intp)
+    order = np.argsort(sizes, kind="stable")
+    sizes = sizes[order]
+    members = np.concatenate([np.empty(0, np.intp)] + [blocks[k] for k in order])
+    starts = np.cumsum(sizes) - sizes
+    block_of = np.full(e.dim, -1)  # each state's block, numbered in size order
+    block_of[members] = np.repeat(np.arange(len(sizes)), sizes)
+    place = np.zeros(e.dim, dtype=np.intp)  # each state's place in its block
+    place[members] = np.arange(len(members)) - np.repeat(starts, sizes)
+    # each run of equal sizes is cut into stacks of `per` blocks: block k goes to
+    # stack stack_of[k], at slot[k] in it
+    run = np.flatnonzero(np.diff(sizes, prepend=-1))
+    per = np.maximum(1, _STACK_ENTRIES // (sizes * sizes))
+    slot = (np.arange(len(sizes)) - np.repeat(run, np.diff(run, append=len(sizes)))) % per
+    stack_of = np.cumsum(slot == 0) - 1
+    count = int(stack_of[-1]) + 1 if len(sizes) else 0  # stacks
+    k = block_of[e.rows]
+    inside = (k >= 0) & (k == block_of[e.cols])
+    k = k[inside]
+    offsets = (slot[k] * sizes[k] + place[e.rows[inside]]) * sizes[k] + place[e.cols[inside]]
+    by_stack = np.argsort(stack_of[k], kind="stable")
+    offsets, values = offsets[by_stack], e.values[inside][by_stack]
+    bounds = np.searchsorted(stack_of[k][by_stack], np.arange(count + 1)).tolist()
+    del k, inside, by_stack
+    firsts = np.searchsorted(stack_of, np.arange(count + 1)).tolist()  # each stack's blocks
+    for s in range(count):
+        first, m = firsts[s], int(sizes[firsts[s]])
+        held = (firsts[s + 1] - first) * m  # states in the stack
+        stack = np.zeros(held * m)
+        stack[offsets[bounds[s]:bounds[s + 1]]] = values[bounds[s]:bounds[s + 1]]
+        yield members[starts[first]:starts[first] + held].reshape(-1, m), stack.reshape(-1, m, m)
 
 
 def symmetric_eigenvalues(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Ascending eigenvalues (with multiplicity) of a symmetric matrix, dense or held
-    as Entries, by `np.linalg.eigvalsh` on each connected block of its support
-    (`_blocks`) of 0.5 (A + A^T); no eigenvectors are computed."""
+    as Entries, from the connected blocks of its support (`_blocks`) of 0.5 (A + A^T):
+    one `np.linalg.eigvalsh` per stack of equal-size blocks (`_stacks`), which runs
+    the same LAPACK solve on each; no eigenvectors are computed."""
     e = a if isinstance(a, Entries) else nonzero_entries(a)
     blocks, e = _blocks(e), _symmetrised(e, tol)
-    parts = [np.linalg.eigvalsh(_gathered(e, b)) for b in blocks]
+    parts = [np.linalg.eigvalsh(stack).ravel() for _, stack in _stacks(e, blocks)]
     return np.sort(np.concatenate([np.empty(0)] + parts))  # [] for a 0 x 0 matrix
 
 
@@ -366,7 +400,8 @@ def intensity_exp(q, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Uniformization expands e^(Qt) as a Poisson mixture of powers of the
     substochastic jump kernel I + Q/lam, so the result is non-negative by
     construction. Each connected block of q's support (`_blocks`) is
-    uniformized on its own, with its own rate lam; e^(Qt) is zero off them.
+    uniformized at its own rate lam, the blocks of one stack (`_stacks`) with
+    one lam together; e^(Qt) is zero off them.
     """
     rows, cols, values, n = e = q if isinstance(q, Entries) else nonzero_entries(q)
     if not 0.0 <= t < math.inf:
@@ -377,42 +412,48 @@ def intensity_exp(q, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if np.abs(np.bincount(cols, values, n)).max(initial=0.0) > bound:  # sums in row order
         raise ValueError("intensity matrix columns do not sum to zero")
     blocks = _blocks(e)
-    if len(blocks) == 1:  # no copy out of a matrix that is one block
-        return _uniformized(e, blocks[0], t, tol)
-    result = np.zeros((n, n))
-    for b in blocks:
-        result[np.ix_(b, b)] = _uniformized(e, b, t, tol)
+    result = None if len(blocks) == 1 else np.zeros((n, n))
+    for members, stack in _stacks(e, blocks):
+        rates = np.abs(np.diagonal(stack, axis1=1, axis2=2)).max(axis=1)
+        for lam in np.unique(rates):
+            same = rates == lam
+            series = _uniformized(stack if same.all() else stack[same], float(lam), t, tol)
+            if result is None:  # no copy out of a matrix that is one block
+                return series[0]
+            index = members[same]
+            result[index[:, :, None], index[:, None, :]] = series
     return result
 
 
 _SHORT_HORIZON_SQUARINGS = 10  # most squarings taken to shorten lam t to 1 or less
 
 
-def _uniformized(e: Entries, index: np.ndarray, t: float, tol: Tolerance) -> np.ndarray:
-    """e^(Q t) of one connected block of an intensity matrix, at the block's own rate
-    lam, by scaling and squaring (Moler and Van Loan, SIAM Rev. 45 (2003) 3-49): the
-    series runs over the horizon t / 2^s and its sum is squared s times. s is the
-    least count that brings lam t / 2^s to 500 or less, so that exp(-lam t / 2^s)
-    stays far above underflow, or, if larger, the least that brings it to 1 or less,
-    capped at _SHORT_HORIZON_SQUARINGS: a short horizon needs a few terms, the whole
-    one about lam t. Each squaring doubles the Poisson mass the series leaves out and
-    the roundoff, so truncation gets half the budget, a tail of abs_tol / 2^(s+1),
-    and the squares' column mass is checked against abs_tol."""
-    kernel, m = _gathered(e, index), len(index)  # made I + Q/lam in place: one block held
-    lam = float(np.max(np.abs(np.diagonal(kernel))))
+def _uniformized(kernel: np.ndarray, lam: float, t: float, tol: Tolerance) -> np.ndarray:
+    """e^(Q t) of a stack of connected blocks Q of an intensity matrix, a (B, m, m)
+    array that is overwritten, all at the rate lam, by scaling and squaring (Moler and
+    Van Loan, SIAM Rev. 45 (2003) 3-49): the series runs over the horizon t / 2^s and
+    its sum is squared s times, with batched products. s is the least count that
+    brings lam t / 2^s to 500 or less, so that exp(-lam t / 2^s) stays far above
+    underflow, or, if larger, the least that brings it to 1 or less, capped at
+    _SHORT_HORIZON_SQUARINGS: a short horizon needs a few terms, the whole one about
+    lam t. Each squaring doubles the Poisson mass the series leaves out and the
+    roundoff, so truncation gets half the budget, a tail of abs_tol / 2^(s+1), and
+    the squares' column mass, worst over the blocks, is checked against abs_tol."""
+    m = kernel.shape[-1]
     if lam == 0.0 or t == 0.0:
-        return np.eye(m)
+        kernel[...] = np.eye(m)
+        return kernel
     mu, squarings = lam * t, 0
     if mu == math.inf:  # halving would never bring it below 500
         raise ValueError(f"rate {lam} times time {t} overflows float64")
     # 500 keeps exp(-mu) above underflow; 1 makes the series a few terms long
     while mu > 500.0 or (mu > 1.0 and squarings < _SHORT_HORIZON_SQUARINGS):
         mu, squarings = mu / 2.0, squarings + 1
-    kernel /= lam
-    kernel.flat[::m + 1] += 1.0
+    kernel /= lam  # made I + Q/lam in place: one stack held
+    kernel.reshape(len(kernel), m * m)[:, ::m + 1] += 1.0  # each block's diagonal
     np.clip(kernel, 0.0, None, out=kernel)  # clip roundoff-negative entries only
     weight = math.exp(-mu)  # k = 0 term
-    series, power = weight * np.eye(m), np.eye(m)
+    series, power = weight * np.broadcast_to(np.eye(m), kernel.shape), np.eye(m)
     accumulated, k = weight, 0
     max_terms = int(mu + 12.0 * math.sqrt(mu) + 60.0)
     # truncation gets half of abs_tol, the squares' roundoff the other half
@@ -426,10 +467,10 @@ def _uniformized(e: Entries, index: np.ndarray, t: float, tol: Tolerance) -> np.
     if 1.0 - accumulated > tail:
         raise ValueError(f"uniformization truncated after {k} terms and {squarings} squarings: "
                          f"Poisson mass {1.0 - accumulated:.3e} unaccounted (tolerance {tail:.3e})")
-    del kernel, power  # so that the squares hold two blocks, not four
+    del kernel, power  # so that the squares hold two stacks, not four
     for _ in range(squarings):  # e^(2Qs) = (e^(Qs))^2 keeps entries non-negative
         series = series @ series
-    if squarings and (lost := float(np.abs(series.sum(axis=0) - 1.0).max())) > tol.abs_tol:
+    if squarings and (lost := float(np.abs(series.sum(axis=1) - 1.0).max())) > tol.abs_tol:
         raise ValueError(f"uniformization lost column mass {lost:.3e} over {squarings} squarings")
     return series
 

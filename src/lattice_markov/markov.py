@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice_an import ChainSpec, _LatticeSpec, two_site_h
-from .linalg import (Entries, _components, _gathered, _HeldAsEntries,
+from .linalg import (Entries, _components, _HeldAsEntries, _stacks,
                      _strongly_connected_components, as_matrix, check_dense_size,
                      embedded_entries, intensity_exp, nonzero_entries, symmetric_eigenvalues)
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
@@ -221,13 +221,14 @@ def validate(chain: MarkovChain, tol: Tolerance = DEFAULT_TOL) -> VerificationRe
 
 
 def absorbing_states(chain: MarkovChain, tol: Tolerance = DEFAULT_TOL) -> list[int]:
-    """States j that keep their mass, p_jj = 1, and that no off-diagonal entry above
-    tol in column j leaves; flow into j does not count. Read from the entries."""
+    """States j that keep their mass, p_jj = 1 within tol, and that no flow leaves: no
+    off-diagonal entry of column j exceeds EDGE_THRESHOLD, the edge rule of
+    `closed_sets`; flow into j does not count. Read from the entries."""
     if chain.kind != "transition":
         raise ValueError("absorbing-state detection expects a transition matrix")
     rows, cols, values, _ = chain.entries
     absorbing = np.abs(chain.entries.diagonal() - 1.0) <= tol.abs_tol
-    absorbing[cols[(rows != cols) & (np.abs(values) > tol.abs_tol)]] = False
+    absorbing[cols[(rows != cols) & (values > EDGE_THRESHOLD)]] = False
     return (np.flatnonzero(absorbing) + 1).tolist()
 
 
@@ -324,7 +325,8 @@ def stationary_distribution(chain: MarkovChain, closed_set,
     leak = float(np.abs(values[inside[cols] & ~inside[rows]]).max(initial=0.0))
     if leak > EDGE_THRESHOLD:
         raise ValueError(f"set is not closed: outgoing rate {leak}")
-    vec = _null_space_1d(_gathered(chain.entries, idx), tol.abs_tol)
+    [(_, block)] = _stacks(chain.entries, [np.array(idx)])
+    vec = _null_space_1d(block[0], tol.abs_tol)
     total = vec.sum()
     if abs(total) < tol.abs_tol:
         raise ValueError("null vector has zero mass")
@@ -336,6 +338,22 @@ def stationary_distribution(chain: MarkovChain, closed_set,
     full = np.zeros(chain.num_states)
     full[idx] = vec
     return full
+
+
+def _sink_laws(chain: MarkovChain, sinks: list[list[int]]) -> np.ndarray:
+    """Stationary laws of an intensity chain on sink components (the closed sets
+    `closed_sets` returns, 1-based), one full-length vector that holds each law on its
+    set. A sink component is irreducible, so its law is unique, and the bordered
+    system, Q_S with its last row replaced by ones and right-hand side e_last, is
+    regular: one LU solve (`np.linalg.solve`) per stack of equal-size sets
+    (`linalg._stacks`). `stationary_distribution` is the reference for one set."""
+    laws = np.zeros(chain.num_states)
+    for members, stack in _stacks(chain.entries, [np.array(s) - 1 for s in sinks]):
+        stack[:, -1, :] = 1.0
+        last = np.zeros(members.shape + (1,))
+        last[:, -1] = 1.0
+        laws[members] = np.linalg.solve(stack, last)[..., 0]
+    return laws
 
 
 def spectrum_coincidence(reference, chain: MarkovChain, scale: float, shift: float,

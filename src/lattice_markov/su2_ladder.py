@@ -25,6 +25,7 @@ and exact similarity), not assumed.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -119,7 +120,60 @@ def _table_products() -> dict[tuple[int, int, int], np.ndarray]:
 _TABLE_PRODUCTS = _table_products()  # read-only after import
 
 
-def _assemble(coeffs: dict[tuple[int, int, int], Fraction], scale: int) -> np.ndarray:
+# Each coefficient is an integer combination of the parameters over an integer:
+# key -> (denominator, constant, then one integer per parameter)
+_H0_TABLE = {  # parameters d, f
+    (1, 1, 1): (108, 0, 108, -55),
+    (1, 1, 2): (288, 0, -72, 104),
+    (1, 1, 3): (270, 0, -486, 211),
+    (1, 2, 1): (216, 0, -756, 370),
+    (1, 2, 2): (108, 0, 0, -29),
+    (1, 2, 3): (36, 0, 90, -31),
+    (1, 3, 1): (2, 0, 2, -1),
+    (1, 3, 2): (108, 0, -54, 26),
+    (1, 3, 3): (540, 0, -108, 43),
+    (2, 1, 1): (864, 0, -216, 80),
+    (2, 1, 2): (108, 0, 0, 11),
+    (2, 1, 3): (108, 0, 216, -119),
+}
+
+_LADDER_TABLE = {  # parameters a, b, c
+    (1, 1, 1): (432, -45, 23, -4, -28),
+    (1, 1, 2): (288, -99, -3, -3, -1),
+    (1, 1, 3): (540, -1098, -91, -118, -16),
+    (1, 2, 1): (432, -369, -97, -70, 50),
+    (1, 2, 2): (432, 396, 4, 31, 25),
+    (1, 2, 3): (144, 189, 29, 20, -4),
+    (1, 3, 1): (4, 3, 0, 0, 0),
+    (1, 3, 2): (216, -306, -2, -29, -14),
+    (1, 3, 3): (2160, 1557, -71, 172, 124),
+    (2, 1, 1): (864, 495, -1, 53, 47),
+    (2, 1, 2): (432, -720, -22, -49, -43),
+    (2, 1, 3): (432, 1179, 91, 118, 16),
+}
+
+
+def _coefficients(table, params) -> dict[tuple[int, int, int], Fraction]:
+    """A coefficient table evaluated exactly at the parameters."""
+    params = [Fraction(x) for x in params]
+    return {ijk: (constant + sum(w * x for w, x in zip(weights, params))) / den
+            for ijk, (den, constant, *weights) in table.items()}
+
+
+def _scaled(table, params, scale: int) -> dict[tuple[int, int, int], float]:
+    """Each coefficient of the table times scale, at the parameters, as the correctly
+    rounded float of its exact value, as float(Fraction) gives it: one integer true
+    division, with each parameter taken exactly by `as_integer_ratio`."""
+    ratios = [(x if hasattr(x, "as_integer_ratio") else int(x)).as_integer_ratio()
+              for x in params]
+    common = math.lcm(*(q for _, q in ratios))
+    numerators = [p * (common // q) for p, q in ratios]
+    return {ijk: (constant * common + sum(w * x for w, x in zip(weights, numerators))) * scale
+            / (den * common) for ijk, (den, constant, *weights) in table.items()}
+
+
+def _assemble(coeffs: dict[tuple[int, int, int], float | Fraction], scale: int = 1) -> np.ndarray:
+    """Sum over the products of float(coefficient * scale) * product."""
     with np.errstate(over="ignore", invalid="ignore"):  # as_matrix refuses an overflow
         return as_matrix(sum((float(coeffs[ijk] * scale) * _TABLE_PRODUCTS[ijk]
                               for ijk in PRODUCT_INDICES), np.zeros((16, 16))))
@@ -127,45 +181,17 @@ def _assemble(coeffs: dict[tuple[int, int, int], Fraction], scale: int) -> np.nd
 
 def h0_coefficients(d, f) -> dict[tuple[int, int, int], Fraction]:
     """The two-parameter braid-solution coefficient table."""
-    d, f = Fraction(d), Fraction(f)
-    return {
-        (1, 1, 1): (108 * d - 55 * f) / 108,
-        (1, 1, 2): (-72 * d + 104 * f) / 288,
-        (1, 1, 3): (-486 * d + 211 * f) / 270,
-        (1, 2, 1): (-756 * d + 370 * f) / 216,
-        (1, 2, 2): -29 * f / 108,
-        (1, 2, 3): (90 * d - 31 * f) / 36,
-        (1, 3, 1): (2 * d - f) / 2,
-        (1, 3, 2): (-54 * d + 26 * f) / 108,
-        (1, 3, 3): (-108 * d + 43 * f) / 540,
-        (2, 1, 1): (-216 * d + 80 * f) / 864,
-        (2, 1, 2): 11 * f / 108,
-        (2, 1, 3): (216 * d - 119 * f) / 108,
-    }
+    return _coefficients(_H0_TABLE, (d, f))
 
 
 def h0(d: float, f: float) -> np.ndarray:
     """Two-parameter family of braid solutions on the rung pair, 16x16."""
-    return _assemble(h0_coefficients(d, f), PRODUCT_SCALE)
+    return _assemble(_scaled(_H0_TABLE, (d, f), PRODUCT_SCALE))
 
 
 def ladder_coefficients(a, b, c) -> dict[tuple[int, int, int], Fraction]:
     """Coefficient table of the general three-parameter ladder density."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    return {
-        (1, 1, 1): (-45 + 23 * a - 4 * b - 28 * c) / 432,
-        (1, 1, 2): (-99 - 3 * a - 3 * b - c) / 288,
-        (1, 1, 3): (-1098 - 91 * a - 118 * b - 16 * c) / 540,
-        (1, 2, 1): (-369 - 97 * a - 70 * b + 50 * c) / 432,
-        (1, 2, 2): (396 + 4 * a + 31 * b + 25 * c) / 432,
-        (1, 2, 3): (189 + 29 * a + 20 * b - 4 * c) / 144,
-        (1, 3, 1): Fraction(3, 4),
-        (1, 3, 2): (-306 - 2 * a - 29 * b - 14 * c) / 216,
-        (1, 3, 3): (1557 - 71 * a + 172 * b + 124 * c) / 2160,
-        (2, 1, 1): (495 - a + 53 * b + 47 * c) / 864,
-        (2, 1, 2): (-720 - 22 * a - 49 * b - 43 * c) / 432,
-        (2, 1, 3): (1179 + 91 * a + 118 * b + 16 * c) / 432,
-    }
+    return _coefficients(_LADDER_TABLE, (a, b, c))
 
 
 def fixed_coefficients() -> dict[tuple[int, int, int], Fraction]:
@@ -186,7 +212,7 @@ def h_ladder() -> np.ndarray:
     Its spectrum is {-2 (x3), 18 (x13)}; the affine family
     (x - 1) h + 16 I satisfies the parameterized braid identity.
     """
-    return _assemble(fixed_coefficients(), PRODUCT_SCALE)
+    return _assemble(_scaled(_LADDER_TABLE, (0, 0, 0), PRODUCT_SCALE))
 
 
 def h_prime(a: float, b: float, c: float) -> np.ndarray:
@@ -195,7 +221,7 @@ def h_prime(a: float, b: float, c: float) -> np.ndarray:
     Normalized so that conjugating by the rung basis change reproduces
     h_doubleprime(a, b, c) exactly; h_prime(0, 0, 0) equals 4 * h_ladder().
     """
-    return _assemble(ladder_coefficients(a, b, c), PRODUCT_SCALE * BASIS_CHANGE_SCALE)
+    return _assemble(_scaled(_LADDER_TABLE, (a, b, c), PRODUCT_SCALE * BASIS_CHANGE_SCALE))
 
 
 # 16x16 entry pattern of the transformed density over the nine entry values

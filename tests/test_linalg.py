@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 from scipy.sparse.csgraph import connected_components
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -544,9 +545,86 @@ def test_blocked_eigenvalues_equal_the_dense_route_bit_for_bit(family, args, kin
 @given(SPARSE_MATRIX, st.data())
 def test_gathered_block_is_the_dense_submatrix(m, data):
     index = np.flatnonzero(data.draw(hnp.arrays(bool, len(m))))
-    got = linalg._gathered(linalg.nonzero_entries(m), index)
-    assert got.shape == (len(index), len(index))
-    assert np.array_equal(got, m[np.ix_(index, index)])
+    assume(len(index))
+    [(members, got)] = linalg._stacks(linalg.nonzero_entries(m), [index])
+    assert members.tolist() == [index.tolist()]
+    assert got.shape == (1, len(index), len(index))
+    assert np.array_equal(got[0], m[np.ix_(index, index)])
+
+
+def _check_stacks(e, blocks, cap):
+    """Every block comes once, as m[np.ix_(b, b)], in stacks of one size that go by
+    size, then in the given order, and hold at most cap entries unless one block."""
+    m, seen = e.dense(), []
+    for members, stack in linalg._stacks(e, blocks):
+        count, size = members.shape
+        assert stack.shape == (count, size, size) and stack.flags.writeable
+        assert count == 1 or count * size * size <= cap
+        for b, block in zip(members, stack):
+            assert np.array_equal(block, m[np.ix_(b, b)])
+            seen.append(b.tolist())
+    by_size = sorted(range(len(blocks)), key=lambda k: len(blocks[k]))
+    assert seen == [blocks[k].tolist() for k in by_size]
+
+
+@settings(max_examples=150, deadline=None)
+@given(SPARSE_MATRIX, st.data())
+def test_stacks_are_the_dense_submatrices(m, data):
+    # disjoint blocks of repeated sizes, in any order, with some states on none
+    order = data.draw(st.permutations(range(len(m))), label="order")
+    cuts = data.draw(st.sets(st.integers(0, len(m))), label="cuts") | {0, len(m)}
+    blocks = [np.array(order[a:b], dtype=np.intp)
+              for a, b in itertools.pairwise(sorted(cuts)) if data.draw(st.booleans())]
+    cap = data.draw(st.sampled_from([1, 4, 9, 30, linalg._STACK_ENTRIES]), label="cap")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_STACK_ENTRIES", cap)
+        _check_stacks(linalg.nonzero_entries(m), blocks, cap)
+
+
+def test_a_block_above_the_stack_cap_goes_alone():
+    # 1025^2 entries exceed the cap of 2^20; the three blocks of 300 fit in one stack
+    rng = np.random.default_rng(3)
+    sizes = [300, 1025, 5, 300, 1025, 300, 5]
+    blocks = np.split(rng.permutation(sum(sizes)), np.cumsum(sizes)[:-1])
+    dim = sum(sizes)
+    rows, cols = rng.integers(0, dim, 60_000), rng.integers(0, dim, 60_000)
+    e = linalg._merged(cols * dim + rows, rng.normal(size=60_000), dim)
+    _check_stacks(e, blocks, linalg._STACK_ENTRIES)
+    assert [members.shape for members, _ in linalg._stacks(e, blocks)] == [
+        (2, 5), (3, 300), (1, 1025), (1, 1025)]
+
+
+def _per_block_semigroup(q, t):
+    """The one-block-at-a-time route: each block of q gathered with np.ix_ and
+    uniformized alone, at its own rate."""
+    result = np.zeros_like(q)
+    for b in linalg._blocks(linalg.nonzero_entries(q)):
+        block = q[np.ix_(b, b)]
+        lam = float(np.max(np.abs(np.diagonal(block))))
+        result[np.ix_(b, b)] = linalg._uniformized(block[None].copy(), lam, t, DEFAULT_TOL)[0]
+    return result
+
+
+@pytest.mark.parametrize("family,args", [
+    ("an", (1, 6)), ("an", (1, 9)), ("an", (2, 4)), ("an", (2, 5)), ("an", (3, 4)),
+    ("ladder", ((16.0, 0.0, 0.0), 3)), ("ladder", ((18.0, 1.0, 0.0), 2))])
+@pytest.mark.parametrize("t", [0.0, 0.001, 0.7, 30.0])
+def test_stacked_semigroup_equals_the_per_block_route_bit_for_bit(family, args, t):
+    q = (build_ladder_markov(LadderParams(*args[0]), args[1], "intensity") if family == "ladder"
+         else build_an_markov(ChainSpec(*args), "intensity")).entries
+    got = linalg.intensity_exp(q, t)
+    assert got.tobytes() == _per_block_semigroup(q.dense(), t).tobytes()
+
+
+@pytest.mark.parametrize("t", [0.3, 40.0])
+def test_a_stack_splits_by_rate(t):
+    # three blocks of size 2, two at rate 2 and one at rate 3, and a block of size 3
+    q = scipy.linalg.block_diag([[-1.0, 2.0], [1.0, -2.0]], [[-3.0, 3.0], [3.0, -3.0]],
+                                [[-2.0, 1.0], [2.0, -1.0]], [[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0],
+                                                             [0.0, 1.0, -1.0]])
+    got = linalg.intensity_exp(q, t)
+    assert got.tobytes() == _per_block_semigroup(q, t).tobytes()
+    assert np.max(np.abs(got - scipy.linalg.expm(q * t))) <= 1e-9
 
 
 # lam t from 0.01 to 1e4: A_n (1, 6) has lam = 10, (2, 4) 9 and (1, 9) 16; the ladder

@@ -151,6 +151,17 @@ def test_absorbing_states_agree_with_closed_sets():
         assert mk.absorbing_states(chain) == mk.closed_sets(chain).absorbing
 
 
+def test_absorbing_states_and_closed_sets_agree_on_a_sub_tolerance_leak():
+    # state 1 keeps all but 1e-11 of its mass: within the tolerance of 1e-10, above
+    # the edge threshold of 1e-12, so the flow leaves it and only state 2 absorbs
+    chain = mk.MarkovChain.from_matrix(kind="transition", matrix=[[1 - 1e-11, 0], [1e-11, 1]])
+    assert mk.validate(chain).passed
+    assert mk.absorbing_states(chain) == mk.closed_sets(chain).absorbing == [2]
+    # below the threshold the entry is no edge, and both absorb
+    chain = mk.MarkovChain.from_matrix(kind="transition", matrix=[[1 - 1e-13, 0], [1e-13, 1]])
+    assert mk.absorbing_states(chain) == mk.closed_sets(chain).absorbing == [1, 2]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("L", [2, 3, 4])
 def test_absorbing_formula_matches_detection(n, L):
@@ -333,6 +344,35 @@ def test_every_closed_set_of_intensity_chain_is_uniform():
             assert max(abs(pi[s - 1] - uniform) for s in closed) < 1e-10
 
 
+def _non_reversible_q():
+    """A 3-cycle with rates 1, 2 and 3 (law 6/11, 3/11, 2/11), a transient state that
+    feeds it and a two-state set with rates 1 and 4 (law 4/5, 1/5)."""
+    q = np.zeros((6, 6))
+    for source, target, rate in [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0), (3, 0, 0.5),
+                                 (4, 5, 1.0), (5, 4, 4.0)]:
+        q[target, source] = rate
+    np.fill_diagonal(q, -q.sum(axis=0))
+    return mk.MarkovChain.from_matrix("intensity", q)
+
+
+@pytest.mark.parametrize("chain", [
+    mk.build_an_markov(ChainSpec(1, 6), "intensity"),
+    mk.build_an_markov(ChainSpec(2, 4), "intensity"),
+    mk.build_an_markov(ChainSpec(3, 3), "intensity"),
+    mk.build_ladder_markov(mk.LadderParams(18.0, 1.0, 0.0), 3, "intensity"),
+    mk.build_ladder_markov(mk.LadderParams(16.0, 0.0, 0.0), 2, "intensity"),
+    _non_reversible_q()], ids=["an16", "an24", "an33", "ladder3", "ladder2", "cycle"])
+def test_stacked_lu_laws_equal_the_svd_laws(chain):
+    sinks = mk.closed_sets(chain).closed_sets
+    laws = mk._sink_laws(chain, sinks)
+    total = np.zeros(chain.num_states)
+    for closed in sinks:
+        pi = mk.stationary_distribution(chain, closed)
+        assert np.max(np.abs(laws[np.array(closed) - 1] - pi[np.array(closed) - 1])) <= 1e-15
+        total += pi
+    assert np.array_equal(laws == 0.0, total == 0.0)  # zero off the sets
+
+
 def test_spectrum_coincidence():
     spec = ChainSpec(1, 3)
     w = chain_spectrum(hamiltonian(spec))
@@ -444,13 +484,12 @@ def _dense_validate(chain, tol):
 
 
 def _dense_absorbing_states(chain, tol):
-    """absorbing_states read from the dense matrix: column j's off-diagonal extrema."""
+    """absorbing_states read from the dense matrix: column j's off-diagonal maximum."""
     m = chain.matrix
     off = ~np.eye(len(m), dtype=bool)
-    extrema = [f(axis=0, where=off, initial=0.0) for f in (m.max, m.min)]
-    coupling = np.max(np.abs(extrema), axis=0)
+    leak = m.max(axis=0, where=off, initial=0.0)
     unit = np.abs(np.diag(m) - 1.0) <= tol.abs_tol
-    return (np.flatnonzero(unit & (coupling <= tol.abs_tol)) + 1).tolist()
+    return (np.flatnonzero(unit & (leak <= mk.EDGE_THRESHOLD)) + 1).tolist()
 
 
 # zeros, ordinary values of either sign, and tiny and subnormal ones

@@ -116,6 +116,30 @@ def test_fixed_coefficients_values():
     assert co[(2, 1, 3)] == Fraction(131, 48)
 
 
+def _fraction_route(coeffs, scale):
+    """The exact route: each coefficient * scale a Fraction, rounded once by float()."""
+    return sum((float(coeffs[ijk] * scale) * lad._TABLE_PRODUCTS[ijk]
+                for ijk in lad.PRODUCT_INDICES), np.zeros((16, 16)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_integer_tables_equal_the_fraction_route_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    for d in H0_GRID:
+        for f in H0_GRID:
+            assert lad.h0(d, f).tobytes() == _fraction_route(
+                lad.h0_coefficients(d, f), lad.PRODUCT_SCALE).tobytes()
+    assert lad.h_ladder().tobytes() == _fraction_route(
+        lad.fixed_coefficients(), lad.PRODUCT_SCALE).tobytes()
+    scale = lad.PRODUCT_SCALE * lad.BASIS_CHANGE_SCALE
+    for a, b, c in rng.uniform(-30.0, 30.0, (20, 3)) * 10.0 ** rng.integers(-9, 9, (20, 3)):
+        a, b, c = float(a), float(b), float(c)
+        assert lad.h_prime(a, b, c).tobytes() == _fraction_route(
+            lad.ladder_coefficients(a, b, c), scale).tobytes()
+        assert lad.h0(a, b).tobytes() == _fraction_route(
+            lad.h0_coefficients(a, b), lad.PRODUCT_SCALE).tobytes()
+
+
 def test_paired_coefficient_variant_breaks_braid():
     # the symmetric pairing -41/48 (x - y) misses the braid identity
     co = lad.fixed_coefficients()
