@@ -123,6 +123,10 @@ def _cmd_markov(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.kind == "P" and args.tmax is not None:
+        raise ValueError("--tmax is the horizon of continuous time (kind Q); kind P takes --steps")
+    if args.kind == "Q" and args.steps is not None:
+        raise ValueError("--steps is the horizon of discrete time (kind P); kind Q takes --tmax")
     chain = _build_chain(args)
     if chain.kind == "transition":
         if args.steps is None:

@@ -17,6 +17,10 @@ through its sorted entries: the positive entries of each column
 is built. The jump laws of all columns are built once per path, in one
 vectorised pass (`_jump_laws`), and packed into flat arrays that a step
 searches by span (`_walk`), so a first visit costs what a repeat visit does.
+A step on the arrays makes a Python float per probe and a Python int per
+jump, so a path that has made as many jumps as the laws have entries swaps
+the arrays for lists at its next chunk (`_outrun`): at most two Python
+objects per entry, made once per path, for about what its jumps have cost.
 A continuous path takes the entry times of each chunk from one cumulative sum.
 """
 
@@ -114,10 +118,23 @@ def _jump_laws(chain: MarkovChain, rates: np.ndarray | None = None):
     return targets, cdf, spans
 
 
+def _outrun(laws, jumps: int):
+    """The laws with their targets and CDF as lists once a path has made as many
+    jumps as they have entries, else as they are. A lookup in a list reads a
+    stored Python object where one in an array makes a new one, and the copy
+    costs about what the jumps made so far did, so a path pays at most about
+    twice the cheaper of the two."""
+    targets, cdf, spans = laws
+    if jumps < len(cdf) or cdf.__class__ is list:
+        return laws
+    return targets.tolist(), cdf.tolist(), spans
+
+
 def _walk(laws, path: list[int], uniforms: list[float]) -> int:
     """Run the jump chain from path[-1], appending the state it enters on each
     uniform, and return the number of jumps; it stops early in a state whose span
-    is a marker."""
+    is a marker. The targets and CDF are arrays or, once the path has outrun
+    them (`_outrun`), lists; bisect_right and indexing read both alike."""
     targets, cdf, spans = laws
     start = len(path)
     current = path[-1]
@@ -157,6 +174,7 @@ def simulate_dtmc(chain: MarkovChain, init: int, steps: int, seed: int) -> Traje
     # Philox gives the same doubles in a batch as one by one, so the path does not
     # depend on the chunk; a fixed chunk bounds memory for any number of steps
     for start in range(0, steps, _UNIFORM_CHUNK):
+        laws = _outrun(laws, start)
         uniforms = rng.random(min(_UNIFORM_CHUNK, steps - start)).tolist()
         if _walk(laws, states, uniforms) < len(uniforms):
             raise laws[2][states[-1]]  # the path entered a state whose column's mass is off
@@ -199,12 +217,13 @@ def simulate_ctmc(chain: MarkovChain, init: int, t_max: float, seed: int,
     times = [0.0]
     while True:
         holds = hold_rng.standard_exponential(_UNIFORM_CHUNK)
+        laws = _outrun(laws, len(states) - 1)
         walk = [states[-1]]
         jumps = _walk(laws, walk, jump_rng.random(_UNIFORM_CHUNK).tolist())
         # numpy draws exponential(scale) as scale * standard_exponential()
         clock = np.empty(jumps + 1)
         clock[0] = times[-1]
-        np.multiply(holds[:jumps], scale[walk[:-1]], out=clock[1:])
+        np.multiply(holds[:jumps], scale[np.fromiter(walk, np.intp, jumps)], out=clock[1:])
         np.add.accumulate(clock, out=clock)  # sequential: clock[k + 1] = clock[k] + hold
         reached = clock >= t_max
         end = int(reached.argmax()) if reached.any() else jumps + 1  # walk[:end] precede t_max
@@ -238,18 +257,26 @@ def empirical_distribution(traj: Trajectory, burn_in: float | None = None) -> np
         raise ValueError("burn-in must be non-negative, and a whole number of steps for a DTMC")
     if traj.kind == "dtmc":
         cut = int(0.1 * (len(traj.states) - 1)) if burn_in is None else int(burn_in)
-        window = traj.states[cut:]
-        if not window:
+        if cut >= len(traj.states):
             raise ValueError("burn-in removed the whole trajectory")
-        out = np.bincount(np.subtract(window, 1), minlength=traj.num_states).astype(float)
+        states = np.fromiter(islice(traj.states, cut, None), np.intp, len(traj.states) - cut)
+        states -= 1
+        out = np.bincount(states, minlength=traj.num_states).astype(float)
         return out / out.sum()
     assert traj.times is not None and traj.t_max is not None
     cut = 0.1 * traj.t_max if burn_in is None else float(burn_in)
     if cut >= traj.t_max:
         raise ValueError("burn-in removed the whole trajectory")
-    # holding time of each visit inside [cut, t_max]; a visit outside adds 0.0
-    held = np.diff(np.clip(traj.times, cut, traj.t_max), append=traj.t_max)
-    out = np.bincount(np.subtract(traj.states, 1), weights=held, minlength=traj.num_states)
+    # holding time of each visit inside [cut, t_max]; a visit outside adds 0.0.
+    # the entry times are clipped and differenced in place, in the array that reads them
+    n = len(traj.states)
+    held = np.fromiter(traj.times, float, n)
+    np.clip(held, cut, traj.t_max, out=held)
+    np.subtract(held[1:], held[:-1], out=held[:-1])
+    held[-1] = traj.t_max - held[-1]
+    states = np.fromiter(traj.states, np.intp, n)
+    states -= 1
+    out = np.bincount(states, weights=held, minlength=traj.num_states)
     return out / out.sum()
 
 

@@ -290,6 +290,17 @@ def test_simulate_requires_horizon(capsys):
     assert "tmax" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "an", "--kind", "P", "--steps", "5", "--tmax", "1"],
+    ["simulate", "an", "--kind", "Q", "--tmax", "1", "--steps", "5"],
+], ids=["tmax_with_P", "steps_with_Q"])
+def test_simulate_refuses_the_other_kinds_horizon(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("--tmax" if "P" in argv else "--steps") in err
+
+
 def test_simulate_seed_env_override(capsys, monkeypatch):
     # the seed is 0 without --seed; the environment does not set it
     monkeypatch.setenv("LATTICE_MARKOV_SEED", "99")

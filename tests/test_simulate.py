@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,30 @@ def test_empirical_distribution_equals_per_event_reference(run):
             continue
         got = sim.empirical_distribution(traj, burn_in)
         assert got.tobytes() == _occupation_by_event(traj, burn_in).tobytes()
+
+
+def test_empirical_distribution_peaks_no_higher_than_numpy_on_the_lists():
+    """Reading the path through np.fromiter and clipping and differencing in place
+    traces no higher a peak than handing its lists to np.clip, np.diff and
+    np.subtract, and gives the same bits."""
+    traj = GOLDEN_PATHS[2][0]()  # the ladder L = 4 CTMC path, 4538 states
+    cut = 0.5
+
+    def on_the_lists():
+        held = np.diff(np.clip(traj.times, cut, traj.t_max), append=traj.t_max)
+        out = np.bincount(np.subtract(traj.states, 1), weights=held, minlength=traj.num_states)
+        return out / out.sum()
+
+    peaks, results = [], []
+    for run in (lambda: sim.empirical_distribution(traj, cut), on_the_lists):
+        tracemalloc.start()
+        try:
+            results.append(run())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert results[0].tobytes() == results[1].tobytes()
+    assert peaks[0] <= peaks[1]
 
 
 def _support_cdf(support: np.ndarray, values: np.ndarray) -> tuple[list[int], list[float]]:
@@ -626,13 +651,94 @@ def _leaky_q():
     return np.array([[0.0, 1e-3, 0.0], [0.0, -1.001, 1.0], [0.0, 1.0, -1.0]])
 
 
-@pytest.mark.parametrize("seed,events", [(4, 698), (7, 1298)],
+def _recording_walk(monkeypatch) -> list:
+    """Record the class and the length of the CDF that each `_walk` call receives."""
+    seen = []
+    walk = sim._walk
+
+    def recording(laws, path, uniforms):
+        seen.append((laws[1].__class__, len(laws[1])))
+        return walk(laws, path, uniforms)
+
+    monkeypatch.setattr(sim, "_walk", recording)
+    return seen
+
+
+@pytest.mark.parametrize("seed,events,containers", [(4, 698, [array]), (7, 1298, [array, list])],
                          ids=["first_chunk", "second_chunk"])
-def test_ctmc_absorbed_mid_chunk_equals_the_dense_route(seed, events):
+def test_ctmc_absorbed_mid_chunk_equals_the_dense_route(seed, events, containers, monkeypatch):
+    """The laws have 3 entries, so the second chunk walks on lists: a path absorbed
+    there holds as it does on the arrays."""
     chain = MarkovChain.from_matrix(kind="intensity", spec=None, matrix=_leaky_q())
+    seen = _recording_walk(monkeypatch)
     traj = sim.simulate_ctmc(chain, 3, 1e9, seed=seed)
     assert len(traj.states) - 1 == events and traj.states[-1] == 1
+    assert [cls for cls, _ in seen] == containers
     assert (traj.states, traj.times) == _dense_route_path(chain, 3, 1e9, seed)
+
+
+@pytest.mark.parametrize("kind,horizon,switched", [
+    ("transition", 150, False), ("transition", 600, True),
+    ("intensity", 10.0, False), ("intensity", 30.0, True),
+], ids=["P_short", "P_long", "Q_short", "Q_long"])
+def test_path_switches_to_lists_at_the_first_chunk_past_its_entries(kind, horizon, switched,
+                                                                   monkeypatch):
+    """A path walks on the packed arrays while it has made fewer jumps than they have
+    entries (219 for A_n (2, 4) P, 162 for Q) and on lists from the first chunk
+    boundary at or past that count, with the same path either way."""
+    chunk = 16
+    monkeypatch.setattr(sim, "_UNIFORM_CHUNK", chunk)
+    seen = _recording_walk(monkeypatch)
+    chain = build_an_markov(ChainSpec(2, 4), kind)
+    if kind == "transition":
+        traj = sim.simulate_dtmc(chain, 30, horizon, seed=5)
+    else:
+        traj = sim.simulate_ctmc(chain, 30, horizon, seed=5)
+    entries = seen[0][1]
+    assert entries == (219 if kind == "transition" else 162)
+    first = -(-entries // chunk) * chunk  # the first chunk boundary at or past entries
+    assert [cls for cls, _ in seen] == [array if k * chunk < first else list
+                                        for k in range(len(seen))]
+    assert (seen[-1][0] is list) == switched
+    assert (traj.states, traj.times) == _dense_route_path(chain, 30, horizon, 5)
+
+
+def test_dtmc_switch_on_a_chunk_boundary_equals_the_dense_route(monkeypatch):
+    """A_n (1, 4) P has 38 entries: in chunks of 19 the path walks on lists from its
+    38th jump, the first of its third chunk."""
+    monkeypatch.setattr(sim, "_UNIFORM_CHUNK", 19)
+    seen = _recording_walk(monkeypatch)
+    chain = build_an_markov(ChainSpec(1, 4), "transition")
+    traj = sim.simulate_dtmc(chain, 8, 200, seed=3)
+    assert seen[0][1] == 38
+    assert [cls for cls, _ in seen] == [array] * 2 + [list] * 9
+    assert (traj.states, traj.times) == _dense_route_path(chain, 8, 200, 3)
+
+
+def _leaks_into_off_mass(kind):
+    # 1 and 2 swap and leak into 3; column 3's mass is off as in _off_mass
+    m = np.array([[0.0, 0.999, 0.5], [0.999, 0.0, 0.5 + 5e-11], [1e-3, 1e-3, 0.0]])
+    if kind == "intensity":
+        np.fill_diagonal(m, -1.0)
+    return MarkovChain.from_matrix(kind=kind, spec=None, matrix=m)
+
+
+@pytest.mark.parametrize("kind,seed", [("transition", 3), ("intensity", 11)])
+def test_off_mass_column_entered_after_the_switch_raises_as_the_dense_route(kind, seed,
+                                                                           monkeypatch):
+    """The laws have 6 entries; these paths first enter state 3 in their second chunk,
+    on lists, and raise the error the dense route raises."""
+    chain = _leaks_into_off_mass(kind)
+    seen = _recording_walk(monkeypatch)
+    with pytest.raises(ValueError, match="column mass 1.00000000005 is not 1") as got:
+        if kind == "transition":
+            sim.simulate_dtmc(chain, 1, 5000, seed)
+        else:
+            sim.simulate_ctmc(chain, 1, 5000.0, seed)
+    assert [cls for cls, _ in seen] == [array, list]
+    with pytest.raises(ValueError) as want:
+        _dense_route_path(chain, 1, 5000, seed)
+    assert str(got.value) == str(want.value)
 
 
 def test_ctmc_raises_only_for_states_entered_before_the_horizon():
