@@ -383,11 +383,12 @@ def _stacks(e: Entries, blocks: list[np.ndarray]) -> Iterator[tuple[np.ndarray, 
 
 def symmetric_eigenvalues(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Ascending eigenvalues (with multiplicity) of a symmetric matrix, dense or held
-    as Entries, from the connected blocks of its support (`_blocks`) of 0.5 (A + A^T):
-    one `np.linalg.eigvalsh` per stack of equal-size blocks (`_stacks`), which runs
-    the same LAPACK solve on each; no eigenvectors are computed."""
-    e = a if isinstance(a, Entries) else nonzero_entries(a)
-    blocks, e = _blocks(e), _symmetrised(e, tol)
+    as Entries, from the connected blocks of the support of its entries 0.5 (A + A^T)
+    (`_symmetrised`, whose support is symmetric): one `np.linalg.eigvalsh` per stack
+    of equal-size blocks (`_stacks`), which runs the same LAPACK solve on each; no
+    eigenvectors are computed."""
+    e = _symmetrised(a if isinstance(a, Entries) else nonzero_entries(a), tol)
+    blocks = _components(e.dim, e.rows, e.cols)
     parts = [np.linalg.eigvalsh(stack).ravel() for _, stack in _stacks(e, blocks)]
     return np.sort(np.concatenate([np.empty(0)] + parts))  # [] for a 0 x 0 matrix
 

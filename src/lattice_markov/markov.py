@@ -284,29 +284,31 @@ def closed_sets(chain: MarkovChain) -> ChainAnalysis:
     return ChainAnalysis(absorbing=absorbing, closed_sets=sinks, reducible=count > 1)
 
 
-def _null_space_1d(a: np.ndarray, tol: float) -> np.ndarray:
-    """One-dimensional null space of a small square matrix by SVD.
+def _sink_laws(chain: MarkovChain, sinks: list[list[int]]) -> np.ndarray:
+    """Stationary laws of an intensity chain on sink components (the closed sets
+    `closed_sets` returns, 1-based), one full-length vector that holds each law on its
+    set and 0 elsewhere. A sink component is irreducible, so its law is unique, and the
+    bordered system, Q_S with its last row replaced by ones and right-hand side e_last,
+    is regular: one LU solve (`np.linalg.solve`) per stack of equal-size sets
+    (`linalg._stacks`). The package's one stationary-law solver."""
+    laws = np.zeros(chain.num_states)
+    for members, stack in _stacks(chain.entries, [np.array(s) - 1 for s in sinks]):
+        stack[:, -1, :] = 1.0
+        last = np.zeros(members.shape + (1,))
+        last[:, -1] = 1.0
+        laws[members] = np.linalg.solve(stack, last)[..., 0]
+    return laws
 
-    Singular values at or below max(tol, len(a) eps) * max(1, max|a|) count as
-    zero: below that floor the SVD cannot tell a zero from roundoff. The right
-    singular vector of the smallest one spans the null space.
-    """
-    _, s, vt = np.linalg.svd(a)
-    cutoff = max(tol, len(a) * np.finfo(float).eps) * max(1.0, float(np.abs(a).max()))
-    nullity = int(np.count_nonzero(s <= cutoff))
-    if nullity != 1:
-        raise ValueError(f"null space dimension {nullity} != 1; "
-                         "stationary distribution is not unique on this set")
-    return vt[-1]
 
+def stationary_distribution(chain: MarkovChain, closed_set) -> np.ndarray:
+    """Stationary law of an intensity matrix on a closed set of states (1-based).
 
-def stationary_distribution(chain: MarkovChain, closed_set,
-                            tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Stationary law of an intensity matrix restricted to a closed set.
-
-    Solves Q pi = 0 on the set, normalized to total mass one; the result
-    is returned as a full-length vector supported on the set. Raises if
-    the set is not closed or the stationary law on it is not unique.
+    The law is unique exactly when one closed set of the chain (`closed_sets`, by its
+    EDGE_THRESHOLD rule) lies inside the given set. It is then that class's law from
+    `_sink_laws`: a full-length vector, 0 on the set's transient members and off the
+    set. Raises if the set is not closed, if it holds no closed class or more than
+    one, or if the solve gives an entry below -1e-9; negative entries above it are
+    clipped to 0.
     """
     if chain.kind != "intensity":
         raise ValueError("stationary distributions are computed for intensity matrices")
@@ -318,42 +320,21 @@ def stationary_distribution(chain: MarkovChain, closed_set,
         raise ValueError("closed set is empty")
     if members[0] < 1 or members[-1] > chain.num_states or len(set(members)) < len(members):
         raise ValueError(f"closed set members must be distinct states in 1..{chain.num_states}")
-    idx = [s - 1 for s in members]
     rows, cols, values, n = chain.entries
     inside = np.zeros(n, dtype=bool)
-    inside[idx] = True
+    inside[[s - 1 for s in members]] = True
     leak = float(np.abs(values[inside[cols] & ~inside[rows]]).max(initial=0.0))
     if leak > EDGE_THRESHOLD:
         raise ValueError(f"set is not closed: outgoing rate {leak}")
-    [(_, block)] = _stacks(chain.entries, [np.array(idx)])
-    vec = _null_space_1d(block[0], tol.abs_tol)
-    total = vec.sum()
-    if abs(total) < tol.abs_tol:
-        raise ValueError("null vector has zero mass")
-    vec = vec / total
-    if vec.min() < -1e-9:
+    # no flow leaves the set, so a closed class with a member in it lies inside it
+    classes = [s for s in closed_sets(chain).closed_sets if inside[s[0] - 1]]
+    if len(classes) != 1:
+        raise ValueError(f"null space dimension {len(classes)} != 1; "
+                         "stationary distribution is not unique on this set")
+    law = _sink_laws(chain, classes)
+    if law.min() < -1e-9:
         raise ValueError("stationary solution has a negative entry")
-    vec = np.clip(vec, 0.0, None)
-    vec = vec / vec.sum()
-    full = np.zeros(chain.num_states)
-    full[idx] = vec
-    return full
-
-
-def _sink_laws(chain: MarkovChain, sinks: list[list[int]]) -> np.ndarray:
-    """Stationary laws of an intensity chain on sink components (the closed sets
-    `closed_sets` returns, 1-based), one full-length vector that holds each law on its
-    set. A sink component is irreducible, so its law is unique, and the bordered
-    system, Q_S with its last row replaced by ones and right-hand side e_last, is
-    regular: one LU solve (`np.linalg.solve`) per stack of equal-size sets
-    (`linalg._stacks`). `stationary_distribution` is the reference for one set."""
-    laws = np.zeros(chain.num_states)
-    for members, stack in _stacks(chain.entries, [np.array(s) - 1 for s in sinks]):
-        stack[:, -1, :] = 1.0
-        last = np.zeros(members.shape + (1,))
-        last[:, -1] = 1.0
-        laws[members] = np.linalg.solve(stack, last)[..., 0]
-    return laws
+    return np.clip(law, 0.0, None, out=law)
 
 
 def spectrum_coincidence(reference, chain: MarkovChain, scale: float, shift: float,

@@ -46,18 +46,13 @@ def spin_generators() -> list[np.ndarray]:
     The y generator is stored multiplied by the imaginary unit, which
     makes it real antisymmetric; its square therefore carries an extra
     minus sign relative to the true generator. Squared-y contributions
-    must use g g^T (see spin_casimir), and the structure constants close
+    must use g g^T, and the structure constants close
     as [Sz, Sx] = Sy', [Sx, Sy'] = -Sz, [Sy', Sz] = -Sx.
     """
     sx = np.array([[0.0, 0.5], [0.5, 0.0]])
     syi = np.array([[0.0, 0.5], [-0.5, 0.0]])
     sz = np.array([[0.5, 0.0], [0.0, -0.5]])
     return [sx, syi, sz]
-
-
-def spin_casimir() -> np.ndarray:
-    """Sum of g g^T over the spin generators; equals (3/4) I for spin 1/2."""
-    return sum(g @ g.T for g in spin_generators())
 
 
 def swap_sites(p: int, q: int, sites: int) -> np.ndarray:
@@ -192,18 +187,6 @@ def h0(d: float, f: float) -> np.ndarray:
 def ladder_coefficients(a, b, c) -> dict[tuple[int, int, int], Fraction]:
     """Coefficient table of the general three-parameter ladder density."""
     return _coefficients(_LADDER_TABLE, (a, b, c))
-
-
-def fixed_coefficients() -> dict[tuple[int, int, int], Fraction]:
-    """Coefficient table of the integrable ladder density, h_ladder.
-
-    Identical to ladder_coefficients(0, 0, 0). A commonly quoted variant
-    pairs the (1,2,1) and (1,2,2) coefficients as -41/48 (x - y); the
-    self-consistent (1,2,2) value is 11/12, and only with it does the
-    operator satisfy the braid identity (the -41/48 variant misses by a
-    residual of about 0.067 in spin-1/2 units; see the tests).
-    """
-    return ladder_coefficients(0, 0, 0)
 
 
 def h_ladder() -> np.ndarray:

@@ -777,6 +777,25 @@ def test_tiny_coupling_keeps_blocks_joined():
     assert np.max(np.abs(linalg.intensity_exp(q, 1.5) - scipy.linalg.expm(q * 1.5))) <= 1e-9
 
 
+def test_eigen_blocks_come_from_the_symmetrised_support(monkeypatch):
+    # the pair +-1e-12 passes the symmetry test and cancels exactly in 0.5 (A + A^T),
+    # so the solve splits {1, 2} from {3, 4} where A's own support joins them
+    m = np.array([[2.0, 1.0, 0.0, 0.0],
+                  [1.0, 3.0, 1e-12, 0.0],
+                  [0.0, -1e-12, 1.0, 0.5],
+                  [0.0, 0.0, 0.5, 4.0]])
+    e = linalg.nonzero_entries(m)
+    assert [b.tolist() for b in linalg._blocks(e)] == [[0, 1, 2, 3]]
+    merged, stacks = linalg._merged, linalg._stacks
+    merges, blocks = [], []
+    monkeypatch.setattr(linalg, "_merged", lambda *args: merges.append(1) or merged(*args))
+    monkeypatch.setattr(linalg, "_stacks", lambda e, b: blocks.extend(b) or stacks(e, b))
+    got = linalg.symmetric_eigenvalues(e)
+    assert len(merges) == 2  # the symmetry defect and 0.5 (A + A^T)
+    assert [b.tolist() for b in blocks] == [[0, 1], [2, 3]]
+    assert np.max(np.abs(got - np.linalg.eigvalsh(0.5 * (m + m.T)))) <= 1e-14
+
+
 @pytest.mark.parametrize("entry", [(0, 2), (2, 0)])
 def test_one_sided_entry_is_rejected_as_asymmetric(entry):
     m = np.diag([1.0, 2.0, 3.0])

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -365,12 +366,56 @@ def _non_reversible_q():
 def test_stacked_lu_laws_equal_the_svd_laws(chain):
     sinks = mk.closed_sets(chain).closed_sets
     laws = mk._sink_laws(chain, sinks)
-    total = np.zeros(chain.num_states)
+    on_sets = np.zeros(chain.num_states, dtype=bool)
     for closed in sinks:
-        pi = mk.stationary_distribution(chain, closed)
-        assert np.max(np.abs(laws[np.array(closed) - 1] - pi[np.array(closed) - 1])) <= 1e-15
-        total += pi
-    assert np.array_equal(laws == 0.0, total == 0.0)  # zero off the sets
+        index = np.array(closed) - 1
+        null = scipy.linalg.null_space(chain.matrix[np.ix_(index, index)])  # by SVD
+        assert null.shape == (len(closed), 1)
+        assert np.max(np.abs(laws[index] - null[:, 0] / null[:, 0].sum())) <= 1e-15
+        on_set = np.zeros(chain.num_states)
+        on_set[index] = laws[index]
+        assert np.array_equal(mk.stationary_distribution(chain, closed), on_set)
+        on_sets[index] = True
+    assert not laws[~on_sets].any()  # zero off the sets
+
+
+def test_stationary_law_of_a_set_with_a_transient_member():
+    q = _non_reversible_q()  # state 4 feeds the 3-cycle {1, 2, 3}
+    pi = mk.stationary_distribution(q, [1, 2, 3, 4])
+    assert np.max(np.abs(pi - [6 / 11, 3 / 11, 2 / 11, 0.0, 0.0, 0.0])) <= 1e-15
+    assert pi[3:].tolist() == [0.0, 0.0, 0.0]
+
+
+def _two_classes(rate):
+    """Two 2-state classes, rates 1 and 2 in {1, 2} and 1 and 4 in {3, 4} (law 4/5,
+    1/5), joined one way: state 2 feeds state 3 at the given rate."""
+    q = np.zeros((4, 4))
+    for source, target, r in [(0, 1, 1.0), (1, 0, 2.0), (2, 3, 1.0), (3, 2, 4.0),
+                              (1, 2, rate)]:
+        q[target, source] = r
+    np.fill_diagonal(q, -q.sum(axis=0))
+    return mk.MarkovChain.from_matrix("intensity", q)
+
+
+def test_rate_below_the_edge_threshold_leaves_two_classes():
+    q = _two_classes(1e-13)
+    assert mk.closed_sets(q).closed_sets == [[1, 2], [3, 4]]
+    with pytest.raises(ValueError, match="null space dimension 2 != 1"):
+        mk.stationary_distribution(q, [1, 2, 3, 4])
+
+
+def test_rate_above_the_edge_threshold_joins_the_classes():
+    """At 1e-11 the rate is an edge, so {1, 2} is transient and the law is unique. An
+    SVD rank test with a cutoff above 1e-11 calls this set decoupled."""
+    q = _two_classes(1e-11)
+    assert mk.closed_sets(q).closed_sets == [[3, 4]]
+    pi = mk.stationary_distribution(q, [1, 2, 3, 4])
+    assert np.max(np.abs(pi - [0.0, 0.0, 0.8, 0.2])) <= 1e-15
+    assert np.max(np.abs(q.matrix @ pi)) <= 1e-15
+    null = scipy.linalg.null_space(q.matrix)
+    assert null.shape == (4, 1)
+    # the SVD's null vector is only as good as eps over the 1e-11 singular value
+    assert np.max(np.abs(pi - null[:, 0] / null[:, 0].sum())) <= 1e-3
 
 
 def test_spectrum_coincidence():

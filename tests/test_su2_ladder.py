@@ -15,7 +15,8 @@ SPIN = lad.total_spin_generators(4)  # the total spin components on the rung pai
 def test_spin_generators():
     sx, syi, sz = lad.spin_generators()
     assert np.array_equal(sz, np.diag([0.5, -0.5]))
-    assert np.allclose(lad.spin_casimir(), 0.75 * np.eye(2))
+    # squared-y terms need g g^T: the casimir is (3/4) I for spin 1/2
+    assert np.allclose(sum(g @ g.T for g in lad.spin_generators()), 0.75 * np.eye(2))
     # structure constants under the real y encoding
     assert np.array_equal(commutator(sz, sx), syi)
     assert np.array_equal(commutator(sx, syi), -sz)
@@ -109,10 +110,11 @@ def test_ladder_density_braid_and_symmetry():
 
 
 def test_fixed_coefficients_values():
-    co = lad.fixed_coefficients()
+    co = lad.ladder_coefficients(0, 0, 0)  # the integrable density, h_ladder
     assert co[(1, 3, 1)] == Fraction(3, 4)
     assert co[(1, 2, 1)] == Fraction(-41, 48)
-    assert co[(1, 2, 2)] == Fraction(11, 12)  # not -(-41/48); see docstring
+    # not -(-41/48): see test_paired_coefficient_variant_breaks_braid
+    assert co[(1, 2, 2)] == Fraction(11, 12)
     assert co[(2, 1, 3)] == Fraction(131, 48)
 
 
@@ -130,7 +132,7 @@ def test_integer_tables_equal_the_fraction_route_bit_for_bit(seed):
             assert lad.h0(d, f).tobytes() == _fraction_route(
                 lad.h0_coefficients(d, f), lad.PRODUCT_SCALE).tobytes()
     assert lad.h_ladder().tobytes() == _fraction_route(
-        lad.fixed_coefficients(), lad.PRODUCT_SCALE).tobytes()
+        lad.ladder_coefficients(0, 0, 0), lad.PRODUCT_SCALE).tobytes()
     scale = lad.PRODUCT_SCALE * lad.BASIS_CHANGE_SCALE
     for a, b, c in rng.uniform(-30.0, 30.0, (20, 3)) * 10.0 ** rng.integers(-9, 9, (20, 3)):
         a, b, c = float(a), float(b), float(c)
@@ -141,8 +143,11 @@ def test_integer_tables_equal_the_fraction_route_bit_for_bit(seed):
 
 
 def test_paired_coefficient_variant_breaks_braid():
-    # the symmetric pairing -41/48 (x - y) misses the braid identity
-    co = lad.fixed_coefficients()
+    """A commonly quoted variant pairs the (1,2,1) and (1,2,2) coefficients of the
+    integrable density as -41/48 (x - y). The self-consistent (1,2,2) value is 11/12,
+    and only with it does the operator satisfy the braid identity: the -41/48 variant
+    misses it by a residual of about 0.067 in spin-1/2 units."""
+    co = lad.ladder_coefficients(0, 0, 0)
     co[(1, 2, 2)] = Fraction(41, 48)
     variant = lad._assemble(co, lad.PRODUCT_SCALE)
     assert qybe_residual(variant) > 1.0
