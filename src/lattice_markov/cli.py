@@ -19,7 +19,7 @@ from .lattice_an import ChainSpec, hamiltonian, chain_spectrum
 from .braid_tl import tl_from_an
 from .linalg import save_matrix_csv, save_matrix_json
 from .markov import LadderParams, build_an_markov, build_ladder_markov, closed_sets
-from .reporting import Tolerance
+from .reporting import REL_TOL, Tolerance
 from .simulate import occupation_summary, simulate_ctmc, simulate_dtmc, trajectory_to_csv
 from .su2_ladder import h0, h_doubleprime, h_ladder
 
@@ -54,7 +54,7 @@ def _cmd_verify(args) -> int:
         "version": __version__,
         "target": args.target,
         "parameters": {"n": args.n, "L": args.L, "a": args.a, "b": args.b, "c": args.c},
-        "tolerance": {"abs_tol": tol.abs_tol, "rel_tol": tol.rel_tol},
+        "tolerance": {"abs_tol": tol.abs_tol, "rel_tol": REL_TOL},
         "wall_time_s": round(time.perf_counter() - started, 6),
         "checks": [r.as_dict() for r in checks],
         "pass": all(r.passed for r in checks),

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .reporting import DEFAULT_TOL, Tolerance
+from .reporting import DEFAULT_TOL, REL_TOL, Tolerance
 
 
 def as_matrix(a) -> np.ndarray:
@@ -223,7 +223,7 @@ def symmetry_defect(a) -> float:
 
 def is_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     a = as_matrix(a)
-    bound = max(tol.abs_tol, tol.rel_tol * float(np.linalg.norm(a)))
+    bound = max(tol.abs_tol, REL_TOL * float(np.linalg.norm(a)))
     return symmetry_defect(a) <= bound
 
 
@@ -233,7 +233,7 @@ def _symmetrised(e: Entries, tol: Tolerance) -> Entries:
     n, v = e.dim, e.values
     keys = np.concatenate([e.cols * n + e.rows, e.rows * n + e.cols])  # A, then A^T
     defect = float(np.linalg.norm(_merged(keys.copy(), np.concatenate([v, -v]), n).values))
-    if defect > max(tol.abs_tol, tol.rel_tol * float(np.linalg.norm(v))):
+    if defect > max(tol.abs_tol, REL_TOL * float(np.linalg.norm(v))):
         raise ValueError(f"matrix is not symmetric within tolerance (defect {defect:.3e})")
     return _merged(keys, np.concatenate([0.5 * v, 0.5 * v]), n)
 
@@ -409,7 +409,7 @@ def intensity_exp(q, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise ValueError("time must be finite and non-negative")
     if values[rows != cols].min(initial=0.0) < -tol.abs_tol:
         raise ValueError("intensity matrix has a negative off-diagonal entry")
-    bound = max(tol.abs_tol, tol.rel_tol * max(1.0, float(np.abs(values).max(initial=0.0))))
+    bound = max(tol.abs_tol, REL_TOL * max(1.0, float(np.abs(values).max(initial=0.0))))
     if np.abs(np.bincount(cols, values, n)).max(initial=0.0) > bound:  # sums in row order
         raise ValueError("intensity matrix columns do not sum to zero")
     blocks = _blocks(e)

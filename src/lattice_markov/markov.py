@@ -15,7 +15,7 @@ import numpy as np
 
 from .lattice_an import ChainSpec, _LatticeSpec, two_site_h
 from .linalg import (Entries, _components, _HeldAsEntries, _stacks,
-                     _strongly_connected_components, as_matrix, check_dense_size,
+                     _strongly_connected_components, check_dense_size,
                      embedded_entries, intensity_exp, nonzero_entries, symmetric_eigenvalues)
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 from .su2_ladder import column_sum_value, h_doubleprime
@@ -39,7 +39,6 @@ class LadderParams:
 class LadderSpec(_LatticeSpec):
     """A two-leg ladder with L rungs; each rung holds four states."""
 
-    params: LadderParams
     L: int
 
     def __post_init__(self) -> None:
@@ -58,16 +57,12 @@ class MarkovChain(_HeldAsEntries):
     a lattice chain's are summed from its kernel, and `from_matrix` reads an ad-hoc
     matrix's once. Every analysis reads them; `matrix` scatters them into a read-only
     dense array on first use, for export. spec may be None for ad-hoc matrices that
-    carry no lattice encoding. symmetric records that the matrix is known to equal
-    its transpose exactly: a lattice chain's kernel is symmetric, and `from_matrix`
-    compares the matrix it reads with its transpose. `closed_sets` then takes
-    connected components for the closed sets.
+    carry no lattice encoding.
     """
 
     kind: str  # "transition" | "intensity"
     entries: Entries
     spec: ChainSpec | LadderSpec | None
-    symmetric: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("transition", "intensity"):
@@ -75,12 +70,9 @@ class MarkovChain(_HeldAsEntries):
 
     @classmethod
     def from_matrix(cls, kind: str, matrix, spec=None) -> MarkovChain:
-        m = as_matrix(matrix)
-        entries = nonzero_entries(m)  # refuses a matrix that is not square
-        # in blocks of rows, so that no bool temporary the size of m is made
-        symmetric = all(np.array_equal(m[i:i + 256], m[:, i:i + 256].T)
-                        for i in range(0, len(m), 256))
-        return cls(kind, entries, spec, symmetric)
+        """The chain of a dense matrix, read once into entries; a matrix that is not
+        square is refused."""
+        return cls(kind, nonzero_entries(matrix), spec)
 
     @property
     def num_states(self) -> int:
@@ -162,16 +154,13 @@ def _local_chain(spec: ChainSpec | LadderSpec, kernel: np.ndarray, column_sum: f
         kernel = kernel - column_sum * np.eye(len(kernel))
     else:
         raise ValueError("kind must be 'transition' or 'intensity'")
-    # (r, c) and (c, r) receive equal terms in the same bond order, so a symmetric
-    # kernel gives entries that equal their transpose bit for bit
-    symmetric = np.array_equal(kernel, kernel.T)
     entries = embedded_entries(kernel, spec.L, spec.local_dim)
     if kind == "transition":
         entries = entries._replace(values=entries.values / normalizer)  # a new array
         entries.values.flags.writeable = False
     if not np.isfinite(entries.values).all():  # the sum of finite bond terms can overflow
         raise ValueError("matrix has non-finite entries")
-    return MarkovChain(kind, entries, spec, symmetric)
+    return MarkovChain(kind, entries, spec)
 
 
 def build_an_markov(spec: ChainSpec, kind: str) -> MarkovChain:
@@ -186,7 +175,7 @@ def build_ladder_markov(params: LadderParams, L: int, kind: str) -> MarkovChain:
     intensity: sum of embedded (density - column-sum * identity).
     """
     a, b, c = params.a, params.b, params.c
-    return _local_chain(LadderSpec(params=params, L=L), h_doubleprime(a, b, c),
+    return _local_chain(LadderSpec(L), h_doubleprime(a, b, c),
                         column_sum_value(a, b, c), kind)
 
 
@@ -204,10 +193,10 @@ def validate(chain: MarkovChain, tol: Tolerance = DEFAULT_TOL) -> VerificationRe
     """
     rows, cols, values, n = chain.entries
     target = 1.0 if chain.kind == "transition" else 0.0
-    col_dev = float(np.max(np.abs(np.bincount(cols, values, n) - target)))
-    row_dev = float(np.max(np.abs(np.bincount(rows, values, n) - target)))
-    if chain.kind == "transition":  # a position with no entry holds 0.0
-        min_entry = float(values.min(initial=0.0 if len(values) < n * n else np.inf))
+    col_dev = float(np.max(np.abs(np.bincount(cols, values, n) - target), initial=0.0))
+    row_dev = float(np.max(np.abs(np.bincount(rows, values, n) - target), initial=0.0))
+    if chain.kind == "transition":  # a position with no entry, or a 0 x 0 matrix, reads 0.0
+        min_entry = float(values.min(initial=np.inf if 0 < len(values) == n * n else 0.0))
     else:
         min_entry = float(values[rows != cols].min(initial=0.0))
     passed = min_entry >= -tol.abs_tol and col_dev <= tol.abs_tol
@@ -259,15 +248,22 @@ def closed_sets(chain: MarkovChain) -> ChainAnalysis:
     exists (the chain is reducible) whenever there is more than one
     component. The edges are read from the chain's entries.
 
-    A chain known to be symmetric has no one-way flow, so every component is a
-    sink: one numpy pass (`linalg._components`) finds them. Other chains run
-    Tarjan's algorithm.
+    Where every edge has its reverse, as in a reversible chain, no flow is one-way,
+    so every component is a sink: one numpy pass (`linalg._components`) finds them.
+    Only a chain with a one-way edge runs Tarjan's algorithm.
     """
     rows, cols, values, n = chain.entries
     edges = (values > EDGE_THRESHOLD) & (rows != cols)
     # flow from sources[k] into targets[k], grouped by source as the entries are by column
     sources, targets = cols[edges], rows[edges]
-    if chain.symmetric:
+    del edges  # the mask, and a sorted copy below, would raise the memory peak
+    # the keys source * n + target ascend, so every edge has its reverse exactly when
+    # the reversed keys, sorted, equal them
+    reversed_keys = targets * n + sources
+    reversed_keys.sort()
+    two_way = np.array_equal(reversed_keys, sources * n + targets)
+    del reversed_keys
+    if two_way:
         sinks = [(comp + 1).tolist() for comp in _components(n, targets, sources)]
         count = len(sinks)
     else:
@@ -355,9 +351,8 @@ def spectrum_coincidence(reference, chain: MarkovChain, scale: float, shift: flo
     return float(np.max(np.abs(got - (scale * ref + shift))))
 
 
-def transition_semigroup(chain: MarkovChain, t: float,
-                         tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def transition_semigroup(chain: MarkovChain, t: float) -> np.ndarray:
     """e^(Q t) for an intensity chain; a valid transition matrix for t >= 0."""
     if chain.kind != "intensity":
         raise ValueError("semigroup is generated by an intensity matrix")
-    return intensity_exp(chain.entries, t, tol)
+    return intensity_exp(chain.entries, t)

@@ -6,17 +6,19 @@ import math
 from dataclasses import dataclass, field
 
 
+REL_TOL = 1e-9  # relative threshold of the checks that scale with a matrix's norm
+
+
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute and relative comparison thresholds for residual checks."""
+    """Absolute comparison threshold for residual checks."""
 
     abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if math.isinf(self.abs_tol) or math.isinf(self.rel_tol):
+        if math.isinf(self.abs_tol):
             raise ValueError("tolerances must be finite")
-        if not (self.abs_tol >= 0 and self.rel_tol >= 0):  # NaN is refused too
+        if not self.abs_tol >= 0:  # NaN is refused too
             raise ValueError("tolerances must be non-negative")
 
 

@@ -37,7 +37,7 @@ from itertools import islice
 import numpy as np
 
 from .markov import MarkovChain, _whole_number, closed_sets, decode, validate
-from .reporting import DEFAULT_TOL, Tolerance
+from .reporting import DEFAULT_TOL
 
 _CDF_SLACK = 1e-12
 _UNIFORM_CHUNK = 1024  # values drawn per rng call, per stream
@@ -182,8 +182,7 @@ def simulate_dtmc(chain: MarkovChain, init: int, steps: int, seed: int) -> Traje
                       num_states=chain.num_states, init=init, seed=seed)
 
 
-def simulate_ctmc(chain: MarkovChain, init: int, t_max: float, seed: int,
-                  tol: Tolerance = DEFAULT_TOL) -> Trajectory:
+def simulate_ctmc(chain: MarkovChain, init: int, t_max: float, seed: int) -> Trajectory:
     """Sample a continuous-time path up to t_max from an intensity matrix.
 
     In state j the holding time is exponential with rate |q_jj| and the
@@ -201,7 +200,7 @@ def simulate_ctmc(chain: MarkovChain, init: int, t_max: float, seed: int,
     if not 0 < t_max < math.inf:  # a NaN or infinite horizon is never reached
         raise ValueError("t_max must be finite and positive")
     rates = -chain.entries.diagonal()  # exit rates -q_jj
-    absorbing = rates <= tol.abs_tol
+    absorbing = rates <= DEFAULT_TOL.abs_tol
     laws = _jump_laws(chain, np.where(absorbing, 1.0, rates))
     spans = laws[2]
     # the mean holding time 1 / rate of each state, 1-based; an absorbing state

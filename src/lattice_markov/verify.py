@@ -127,7 +127,8 @@ def verify_an(n: int, L: int, tol: Tolerance = DEFAULT_TOL) -> list[Verification
 def verify_ladder(a: float, b: float, c: float, L: int = 2,
                   tol: Tolerance = DEFAULT_TOL) -> list[VerificationReport]:
     """Full certification of the two-leg ladder stack at parameters (a, b, c)."""
-    params = markov.LadderSpec(markov.LadderParams(a, b, c), L).params  # L < 2 raises first
+    params = markov.LadderParams(a, b, c)
+    markov.LadderSpec(L)  # L < 2 raises before any check runs
     checks: list[VerificationReport] = []
 
     spin = su2_ladder.total_spin_generators(4)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from lattice_markov import su2_ladder as lad
 from lattice_markov.lattice_an import ChainSpec, chain_spectrum, hamiltonian
 from lattice_markov.linalg import intensity_exp
 from lattice_markov.reporting import Tolerance
+
+from closed_reference import scipy_closed_sets
 
 SWAP4 = np.array([[1, 0, 0, 0],
                   [0, 0, 1, 0],
@@ -50,7 +53,7 @@ def test_encode_errors():
 
 
 @pytest.mark.parametrize("spec", [ChainSpec(1, 3),
-                                  mk.LadderSpec(params=mk.LadderParams(16, 0, 0), L=2)],
+                                  mk.LadderSpec(L=2)],
                          ids=["an", "ladder"])
 def test_encode_decode_take_whole_numbers_only(spec):
     label = mk.decode(3, spec)
@@ -71,7 +74,7 @@ def test_encode_decode_take_whole_numbers_only(spec):
 
 
 def test_ladder_encoding_roundtrip():
-    spec = mk.LadderSpec(params=mk.LadderParams(16, 0, 0), L=2)
+    spec = mk.LadderSpec(L=2)
     labels = list(itertools.product(itertools.product((0, 1), repeat=2), repeat=2))
     indices = sorted(mk.encode(label, spec) for label in labels)
     assert indices == list(range(1, 17))
@@ -666,7 +669,6 @@ def _transpose_entries(chain):
 @pytest.mark.parametrize("n,L", [(1, 2), (1, 5), (2, 3), (2, 4), (3, 2), (3, 3)])
 def test_an_chains_are_known_symmetric(n, L, kind):
     chain = mk.build_an_markov(ChainSpec(n, L), kind)
-    assert chain.symmetric is True
     for got, want in zip(chain.entries, _transpose_entries(chain)):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
@@ -680,37 +682,88 @@ def test_ladder_chains_inside_the_positivity_region_are_known_symmetric(a, db, d
     c = (-54.0 - a - 4.0 * b) / 4.0 + dc
     assume(min(lad.entry_values(a, b, c)) >= 0.0)  # roundoff at the boundary
     chain = mk.build_ladder_markov(mk.LadderParams(a, b, c), L, kind)
-    assert chain.symmetric is True
     for got, want in zip(chain.entries, _transpose_entries(chain)):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-def test_from_matrix_records_exact_symmetry():
-    p = np.array([[0.5, 0.25, 0.0], [0.5, 0.5, 0.5], [0.0, 0.25, 0.5]])
-    assert mk.MarkovChain.from_matrix("transition", p).symmetric is False
-    assert mk.MarkovChain.from_matrix("transition", 0.5 * (p + p.T)).symmetric is True
-    nudged = np.full((300, 300), 1.0 / 300)  # spans two blocks of rows
-    nudged[299, 280] += 1e-16  # a pair that only the second block compares
-    assert mk.MarkovChain.from_matrix("transition", nudged).symmetric is False
-    assert mk.MarkovChain.from_matrix("transition", nudged.T + nudged).symmetric is True
-    assert mk.MarkovChain.from_matrix("transition", np.zeros((0, 0))).symmetric is True
-    adhoc = mk.MarkovChain(kind="transition", entries=linalg.nonzero_entries(np.eye(2)),
-                           spec=None)
-    assert adhoc.symmetric is False  # not known unless stated
+def _without_tarjan():
+    return mock.patch.object(mk, "_strongly_connected_components",
+                             side_effect=AssertionError("Tarjan ran on two-way flow"))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_closed_sets_do_not_need_the_symmetry_flag(data):
     """On an exactly symmetric matrix, with tiny, subnormal and negative entries among
-    the others, the components route gives Tarjan's answer."""
+    the others, the components route gives scipy's sink components."""
     n = data.draw(st.integers(0, 14), label="states")
     m = data.draw(hnp.arrays(np.float64, (n, n), elements=_ENTRY), label="matrix")
     m = np.triu(m) + np.triu(m, 1).T
     for kind in ("transition", "intensity"):
         chain = mk.MarkovChain.from_matrix(kind=kind, matrix=m)
-        assert chain.symmetric
-        assert mk.closed_sets(chain) == mk.closed_sets(dataclasses.replace(chain, symmetric=False))
+        with _without_tarjan():
+            assert mk.closed_sets(chain) == scipy_closed_sets(m)
+
+
+_FLOW = st.floats(mk.EDGE_THRESHOLD, 1e3, exclude_min=True)
+_NO_FLOW = st.one_of(st.just(0.0), st.just(mk.EDGE_THRESHOLD), st.sampled_from([5e-324, -1.0]),
+                     st.floats(-1e3, mk.EDGE_THRESHOLD))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_closed_sets_of_two_way_flow_take_the_components_route(data):
+    """A support that holds (i, j) exactly when it holds (j, i), with values drawn
+    independently in each direction, is two-way flow however unequal its rates: the
+    closed sets are the connected components, and Tarjan does not run."""
+    n = data.draw(st.integers(0, 14), label="states")
+    support = np.triu(data.draw(hnp.arrays(bool, (n, n)), label="support"), 1)
+    flow = data.draw(hnp.arrays(np.float64, (n, n), elements=_FLOW), label="flow")
+    rest = data.draw(hnp.arrays(np.float64, (n, n), elements=_NO_FLOW), label="rest")
+    m = np.where(support | support.T, flow, rest)
+    for kind in ("transition", "intensity"):
+        chain = mk.MarkovChain.from_matrix(kind=kind, matrix=m)
+        with _without_tarjan():
+            assert mk.closed_sets(chain) == scipy_closed_sets(m)
+
+
+def test_closed_sets_read_one_way_flow_from_the_entries():
+    # flow 2 -> 1 and 3 -> 4 only; 1 and 4 keep their mass
+    one_way = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                        [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    chain = dataclasses.replace(mk.build_an_markov(ChainSpec(1, 2), "transition"),
+                                entries=linalg.nonzero_entries(one_way))
+    assert mk.closed_sets(chain) == mk.ChainAnalysis([1, 4], [[1], [4]], True)
+    m = np.array([[1.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.5, 1.0]])
+    chain = mk.MarkovChain("transition", linalg.nonzero_entries(m), None)
+    assert mk.closed_sets(chain) == mk.ChainAnalysis([1, 3], [[1], [3]], True)
+
+
+def _exclusion_chain(p, q, L):
+    """The exclusion process with reflecting ends, hopping right at rate p and left at
+    rate q: the two-site kernel on sites (x, y), coded 2 x + y, through
+    `embedded_entries`."""
+    kernel = np.zeros((4, 4))
+    kernel[1, 2], kernel[2, 1] = p, q  # 10 -> 01 at rate p, 01 -> 10 at rate q
+    kernel[2, 2], kernel[1, 1] = -p, -q
+    return mk.MarkovChain("intensity", linalg.embedded_entries(kernel, L, 2), None)
+
+
+def test_exclusion_sectors_come_from_the_components_route():
+    L = 12
+    chain = _exclusion_chain(1.7, 0.4, L)
+    with _without_tarjan():
+        analysis = mk.closed_sets(chain)
+    particles = np.array([bin(s).count("1") for s in range(2 ** L)])
+    sectors = [(np.flatnonzero(particles == k) + 1).tolist() for k in range(L + 1)]
+    assert analysis == mk.ChainAnalysis([1, 2 ** L], sorted(sectors), True)
+
+
+@pytest.mark.parametrize("kind", ["transition", "intensity"])
+def test_validate_a_chain_without_states(kind):
+    report = mk.validate(mk.MarkovChain.from_matrix(kind, np.zeros((0, 0))))
+    assert report.residuals == {"min_entry": 0.0, "column_sum_deviation": 0.0}
+    assert report.passed and report.info == {"row_normalized": True, "row_sum_deviation": 0.0}
 
 
 def test_chain_build_and_closed_sets_scatter_no_dense_matrix():

@@ -1,5 +1,4 @@
 import bisect
-import dataclasses
 import hashlib
 import math
 import os
@@ -9,6 +8,7 @@ import sys
 import tracemalloc
 from array import array
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +16,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from lattice_markov import markov
 from lattice_markov import simulate as sim
 from lattice_markov.lattice_an import ChainSpec
 from lattice_markov.markov import (LadderParams, MarkovChain, absorbing_states, build_an_markov,
                                    build_ladder_markov, closed_sets, encode, validate)
 from lattice_markov.reporting import DEFAULT_TOL
+
+from closed_reference import scipy_closed_sets
 
 
 def test_dtmc_determinism():
@@ -471,9 +474,13 @@ def test_column_supports_equal_the_dense_columns(chain):
 
 @pytest.mark.parametrize("chain", _STRUCTURE_CHAINS)
 def test_closed_sets_equal_with_the_symmetry_flag_off(chain):
-    """A symmetric chain's components and Tarjan's sink components agree."""
-    assert chain.symmetric == (chain.spec is not None)
-    assert closed_sets(chain) == closed_sets(dataclasses.replace(chain, symmetric=False))
+    """The closed sets equal scipy's sink components; a lattice chain's flow is
+    two-way, so it takes the components route and Tarjan does not run."""
+    assert closed_sets(chain) == scipy_closed_sets(chain.matrix)
+    if chain.spec is not None:
+        with mock.patch.object(markov, "_strongly_connected_components",
+                               side_effect=AssertionError("Tarjan ran on a lattice chain")):
+            closed_sets(chain)
 
 
 def _same_structure(chain):
