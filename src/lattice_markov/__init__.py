@@ -8,9 +8,9 @@ map) with the underlying lattice Hamiltonians.
 """
 
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
-from .linalg import (commutator, embed_one_site, embed_two_site, frobenius_norm,
-                     intensity_exp, kron, load_matrix_csv, load_matrix_json,
-                     save_matrix_csv, save_matrix_json, symmetric_eigenvalues)
+from .linalg import (commutator, frobenius_norm, intensity_exp, load_matrix_csv,
+                     load_matrix_json, save_matrix_csv, save_matrix_json,
+                     symmetric_eigenvalues)
 from .an_algebra import (AnRep, casimir, casimir_cubic_residuals, casimir_quadratic_residual,
                          coproduct, delta_casimir, delta_casimir_indexed, delta_casimir_sum,
                          fundamental_rep, index_partition_check, unit_matrix)

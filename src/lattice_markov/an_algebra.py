@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, embed_two_site, frobenius_norm, kron
+from .linalg import _pair, as_matrix, frobenius_norm
 
 
 @dataclass
@@ -93,14 +93,14 @@ def delta_casimir_sum(n: int) -> np.ndarray:
     for a in range(1, d + 1):
         for b in range(1, d + 1):
             if a != b:
-                out += (n + 1) * kron(unit_matrix(a, b, n), unit_matrix(b, a, n))
+                out += (n + 1) * np.kron(unit_matrix(a, b, n), unit_matrix(b, a, n))
     for a in range(1, n + 1):
         h = rep.cartan[a - 1]
-        out += a * (n + 1 - a) * kron(h, h)
+        out += a * (n + 1 - a) * np.kron(h, h)
     for a in range(1, n + 1):
         for b in range(1, n - a + 1):
             ha, hb = rep.cartan[a - 1], rep.cartan[a + b - 1]
-            out += a * (n + 1 - a - b) * (kron(ha, hb) + kron(hb, ha))
+            out += a * (n + 1 - a - b) * (np.kron(ha, hb) + np.kron(hb, ha))
     return out
 
 
@@ -143,10 +143,12 @@ def index_partition_check(n: int) -> bool:
 
 
 def coproduct(op: np.ndarray) -> np.ndarray:
-    """Two-site coproduct x (x) 1 + 1 (x) x."""
+    """Two-site coproduct x (x) 1 + 1 (x) x of a square matrix."""
     op = as_matrix(op)
-    ident = np.eye(len(op))
-    return np.kron(op, ident) + np.kron(ident, op)
+    if op.shape[0] != op.shape[1]:
+        raise ValueError(f"coproduct needs a square matrix, got shape {op.shape}")
+    left, right = _pair(op, len(op))
+    return left + right
 
 
 def casimir_quadratic_residual(n: int) -> float:
@@ -171,8 +173,7 @@ def casimir_cubic_residuals(n: int) -> tuple[float, float]:
     exactly 6 (n+1)^3 sqrt(binomial(n+1, 3)).
     """
     d = n + 1
-    dc = delta_casimir(n)
-    a, b = (embed_two_site(dc, i, 3, d) for i in (1, 2))
+    a, b = _pair(delta_casimir(n), d)
     i3 = np.eye(d ** 3)
     lhs1 = a @ b @ a - n * (b @ a + a @ b) + (n * n - 1) * a + n * n * b + n * (1 - n * n) * i3
     lhs2 = b @ a @ b - n * (b @ a + a @ b) + (n * n - 1) * b + n * n * a + n * (1 - n * n) * i3

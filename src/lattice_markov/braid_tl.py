@@ -13,11 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .an_algebra import delta_casimir
-from .linalg import as_matrix, embed_two_site, frobenius_norm
+from .linalg import _pair, as_matrix, frobenius_norm
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 
 
 def _local_dim(h: np.ndarray) -> int:
+    """The local dimension d of a square d^2 x d^2 two-site operator."""
+    if h.shape[0] != h.shape[1]:
+        raise ValueError(f"two-site operator must be square, got shape {h.shape}")
     m = h.shape[0]
     local_dim = math.isqrt(m)
     if local_dim * local_dim != m:
@@ -28,10 +31,7 @@ def _local_dim(h: np.ndarray) -> int:
 def qybe_residual(h) -> float:
     """Frobenius residual of the braid identity for a two-site operator."""
     h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise ValueError("two-site operator must be square")
-    d = _local_dim(h)
-    h12, h23 = (embed_two_site(h, i, 3, d) for i in (1, 2))
+    h12, h23 = _pair(h, _local_dim(h))
     return frobenius_norm(h12 @ h23 @ h12 - h23 @ h12 @ h23)
 
 
@@ -63,7 +63,7 @@ def spectral_qybe_residuals(h, points, shift: float = 16.0) -> list[float]:
     """spectral_qybe_residual at each (x, y) of points, from one embedding of h."""
     h = as_matrix(h)
     d = _local_dim(h)
-    h12, h23 = (embed_two_site(h, i, 3, d) for i in (1, 2))
+    h12, h23 = _pair(h, d)
     s = shift * np.eye(d ** 3)
 
     def residual(x: float, y: float) -> float:
@@ -97,7 +97,7 @@ class TLElement:
 def tl_check(e: TLElement, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
     """Certify the Temperley-Lieb relations for a candidate element."""
     m = e.matrix
-    e1, e2 = (embed_two_site(m, i, 3, e.local_dim) for i in (1, 2))
+    e1, e2 = _pair(m, e.local_dim)
     residuals = {
         "idempotent": frobenius_norm(m @ m - e.beta * m),
         "contract_left": frobenius_norm(e1 @ e2 @ e1 - e1),

@@ -31,9 +31,14 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the left factor as the more significant index."""
-    return np.kron(as_matrix(a), as_matrix(b))
+def _pair(op: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(op (x) 1_d, 1_d (x) op) for a square float matrix op, the left factor the
+    more significant index: each one broadcast product, equal to np.kron bit for bit."""
+    m = len(op)
+    eye = np.eye(d)
+    left = (op[:, None, :, None] * eye[None, :, None, :]).reshape(m * d, m * d)
+    right = (eye[:, None, :, None] * op[None, :, None, :]).reshape(m * d, m * d)
+    return left, right
 
 
 DENSE_SIZE_GUARD = 4096  # largest state space built as a dense matrix
@@ -42,22 +47,6 @@ DENSE_SIZE_GUARD = 4096  # largest state space built as a dense matrix
 def check_dense_size(dim: int) -> None:
     if dim > DENSE_SIZE_GUARD:
         raise ValueError(f"state space {dim} exceeds dense guard {DENSE_SIZE_GUARD}")
-
-
-def embed_two_site(op, i: int, L: int, d: int) -> np.ndarray:
-    """Pad a two-site operator to sites (i, i+1) of an L-site chain.
-
-    `op` acts on a pair of adjacent d-dimensional sites; the result is
-    1^(i-1) (x) op (x) 1^(L-i-1) on the d^L-dimensional space. Site
-    indices are 1-based, i in 1..L-1.
-    """
-    op = as_matrix(op)
-    if op.shape != (d * d, d * d):
-        raise ValueError(f"two-site operator must be {d * d}x{d * d}, got {op.shape}")
-    if not 1 <= i <= L - 1:
-        raise ValueError(f"site index i={i} out of range 1..{L - 1}")
-    m = np.kron(np.eye(d ** (i - 1)), op) if i > 1 else op.copy()  # no kron with a 1 x 1 identity
-    return np.kron(m, np.eye(d ** (L - i - 1))) if i < L - 1 else m
 
 
 class Entries(NamedTuple):
@@ -134,8 +123,8 @@ def embedded_entries(op, L: int, d: int) -> Entries:
     With a = d^(i-1), k the size of op and b = d^L / (a k), entry (p, q) of op
     on sites i, i+1, ... lands at row c + p b and column c + q b for every
     corner c = x k b + y with x < a and y < b. Terms are merged in site order,
-    so the entries equal the sum of embed_one_site or embed_two_site terms bit
-    for bit.
+    so the entries equal the sum of the terms 1_a (x) op (x) 1_b, each padded by
+    np.kron, bit for bit.
     """
     op = as_matrix(op)
     if op.shape not in ((d, d), (d * d, d * d)):
@@ -156,19 +145,9 @@ def embedded_entries(op, L: int, d: int) -> Entries:
 def embedded_sum(op, L: int, d: int) -> np.ndarray:
     """Open-chain sum of op: a d x d op on every site i = 1..L, or a
     d^2 x d^2 op on every bond (i, i+1), i = 1..L-1. Equal entry for entry
-    to the sum of embed_one_site or embed_two_site terms."""
+    to the sum of the np.kron-padded terms (`embedded_entries`)."""
     check_dense_size(d ** L)
     return embedded_entries(op, L, d).dense()
-
-
-def embed_one_site(op, i: int, L: int, d: int) -> np.ndarray:
-    """Pad a single-site operator to site i (1-based) of an L-site chain."""
-    op = as_matrix(op)
-    if op.shape != (d, d):
-        raise ValueError(f"one-site operator must be {d}x{d}, got {op.shape}")
-    if not 1 <= i <= L:
-        raise ValueError(f"site index i={i} out of range 1..{L}")
-    return np.kron(np.kron(np.eye(d ** (i - 1)), op), np.eye(d ** (L - i)))
 
 
 def commutator(a, b) -> np.ndarray:

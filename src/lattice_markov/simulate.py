@@ -36,8 +36,7 @@ from itertools import islice
 
 import numpy as np
 
-from .markov import MarkovChain, _whole_number, closed_sets, decode, validate
-from .reporting import DEFAULT_TOL
+from .markov import EDGE_THRESHOLD, MarkovChain, _whole_number, closed_sets, decode, validate
 
 _CDF_SLACK = 1e-12
 _UNIFORM_CHUNK = 1024  # values drawn per rng call, per stream
@@ -186,8 +185,11 @@ def simulate_ctmc(chain: MarkovChain, init: int, t_max: float, seed: int) -> Tra
     """Sample a continuous-time path up to t_max from an intensity matrix.
 
     In state j the holding time is exponential with rate |q_jj| and the
-    jump lands on i with probability q_ij / |q_jj|; states with zero exit
-    rate hold forever.
+    jump lands on i with probability q_ij / |q_jj|. A state that no entry
+    above EDGE_THRESHOLD leaves, absorbing by the edge rule of `closed_sets`,
+    holds forever. A path raises when it enters a state that flow leaves but
+    whose exit rate is not positive (or below the least normal float, where
+    1 / rate overflows), as it does in one whose mass is off.
 
     Each chunk of draws first runs the jump chain alone, up to an absorbing
     state or one whose mass is off; the entry times then come from one
@@ -199,16 +201,22 @@ def simulate_ctmc(chain: MarkovChain, init: int, t_max: float, seed: int) -> Tra
     init = _initial_state(chain, init)
     if not 0 < t_max < math.inf:  # a NaN or infinite horizon is never reached
         raise ValueError("t_max must be finite and positive")
+    rows, cols, values, n = chain.entries
     rates = -chain.entries.diagonal()  # exit rates -q_jj
-    absorbing = rates <= DEFAULT_TOL.abs_tol
-    laws = _jump_laws(chain, np.where(absorbing, 1.0, rates))
+    absorbing = np.ones(n, dtype=bool)  # no flow above EDGE_THRESHOLD leaves
+    absorbing[cols[(values > EDGE_THRESHOLD) & (rows != cols)]] = False
+    held = ~absorbing & (rates >= np.finfo(float).tiny)  # where 1 / rate is finite
+    laws = _jump_laws(chain, np.where(held, rates, 1.0))
     spans = laws[2]
     # the mean holding time 1 / rate of each state, 1-based; an absorbing state
     # ends the walk (span None) and never holds
     scale = np.zeros(len(spans))
-    np.divide(1.0, rates, out=scale[1:], where=~absorbing)
+    np.divide(1.0, rates, out=scale[1:], where=held)
     for j in np.flatnonzero(absorbing).tolist():
         spans[j + 1] = None
+    for j in np.flatnonzero(~(absorbing | held)).tolist():
+        spans[j + 1] = ValueError(f"flow leaves state {j + 1}, but its diagonal entry "
+                                  f"{-float(rates[j])} gives no usable exit rate")
     # holding times and jump uniforms come from two streams, each drawn in chunks
     bits = np.random.Philox(seed)
     hold_rng, jump_rng = np.random.Generator(bits), np.random.Generator(bits.jumped())
@@ -279,15 +287,15 @@ def empirical_distribution(traj: Trajectory, burn_in: float | None = None) -> np
     return out / out.sum()
 
 
-def occupation_summary(chain: MarkovChain, traj: Trajectory,
-                       burn_in: float | None = None) -> dict:
+def occupation_summary(chain: MarkovChain, traj: Trajectory) -> dict:
     """Summary of a run against the closed set containing its initial state.
 
     max_dev_sigma is the worst deviation of the empirical occupation from
     the uniform law on that closed set, in units of the binomial standard
-    error with the number of recorded moves as sample size.
+    error with the number of recorded moves as sample size. The occupation is
+    `empirical_distribution`'s, with its default burn-in.
     """
-    occupation = empirical_distribution(traj, burn_in)
+    occupation = empirical_distribution(traj)
     analysis = closed_sets(chain)
     home = next((s for s in analysis.closed_sets if traj.init in s), None)
     summary = {

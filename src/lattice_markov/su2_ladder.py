@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import as_matrix, embedded_sum, frobenius_norm, kron
+from .linalg import as_matrix, embedded_sum, frobenius_norm
 from .braid_tl import TLElement
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 
@@ -272,7 +272,7 @@ def similarity_residual(a: float, b: float, c: float) -> float:
     The 4x4 basis change acts per rung, so on the rung pair it enters as
     its Kronecker square.
     """
-    bb = kron(basis_change(), basis_change())
+    bb = np.kron(basis_change(), basis_change())
     conj = bb @ h_prime(a, b, c) @ np.linalg.inv(bb)
     return frobenius_norm(conj - h_doubleprime(a, b, c))
 

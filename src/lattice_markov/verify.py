@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from . import an_algebra, braid_tl, lattice_an, markov, su2_ladder
-from .linalg import commutator, frobenius_norm, invariance_residual, kron
+from .linalg import commutator, frobenius_norm, invariance_residual
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 
 H0_GRID = (-1.0, 0.0, 1.0, 2.0)
@@ -138,7 +138,7 @@ def verify_ladder(a: float, b: float, c: float, L: int = 2,
     checks.append(VerificationReport.from_residuals(
         "su2_invariance", {"worst_commutator": invariance}, tol.abs_tol * 1e3))
 
-    bb = kron(su2_ladder.basis_change(), su2_ladder.basis_change())
+    bb = np.kron(su2_ladder.basis_change(), su2_ladder.basis_change())
     bb_inv = np.linalg.inv(bb)
     hdp = su2_ladder.h_doubleprime(a, b, c)
     conj = invariance_residual(hdp, [bb @ g @ bb_inv for g in spin])

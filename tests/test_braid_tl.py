@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from lattice_markov import braid_tl as btl
 from lattice_markov.an_algebra import delta_casimir
-from lattice_markov.linalg import frobenius_norm, kron
-from lattice_markov.su2_ladder import h_ladder, tl_from_ladder
+from lattice_markov.linalg import frobenius_norm
+from lattice_markov.su2_ladder import h0, h_ladder, tl_from_ladder
+from lattice_markov.verify import H0_GRID, SPECTRAL_GRID
 
 
 def swap_matrix(d: int) -> np.ndarray:
@@ -46,6 +48,12 @@ def test_qybe_rejects_bad_shapes():
         btl.qybe_residual(np.eye(5))
     with pytest.raises(ValueError):
         btl.qybe_residual(np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (5, 4), (5, 5)])
+def test_spectral_braid_rejects_bad_shapes(shape):
+    with pytest.raises(ValueError, match="square"):
+        btl.spectral_qybe_residual(np.ones(shape), 2.0, 3.0)
 
 
 def test_tl_check_zero_element_passes():
@@ -148,7 +156,7 @@ def test_spectral_braid_wrong_shift_fails():
 
 def test_qybe_residual_equals_kron_pair_route():
     h = np.random.default_rng(12).normal(size=(9, 9))
-    h12, h23 = kron(h, np.eye(3)), kron(np.eye(3), h)
+    h12, h23 = np.kron(h, np.eye(3)), np.kron(np.eye(3), h)
     expected = frobenius_norm(h12 @ h23 @ h12 - h23 @ h12 @ h23)
     assert expected > 1.0
     assert btl.qybe_residual(h) == expected
@@ -158,7 +166,7 @@ def test_qybe_residual_equals_kron_pair_route():
 def test_tl_check_equals_kron_pair_route(n):
     element = btl.tl_from_an(n)
     m, ident = element.matrix, np.eye(n + 1)
-    e1, e2 = kron(m, ident), kron(ident, m)
+    e1, e2 = np.kron(m, ident), np.kron(ident, m)
     expected = {
         "idempotent": frobenius_norm(m @ m - element.beta * m),
         "contract_left": frobenius_norm(e1 @ e2 @ e1 - e1),
@@ -176,13 +184,55 @@ def test_spectral_braid_equals_closure_route():
         return (u - 1.0) * h + shift * ident_pair
 
     def left(op):
-        return kron(op, ident_local)
+        return np.kron(op, ident_local)
 
     def right(op):
-        return kron(ident_local, op)
+        return np.kron(ident_local, op)
 
     lhs = left(family(x)) @ right(family(x * y)) @ left(family(y))
     rhs = right(family(y)) @ left(family(x * y)) @ right(family(x))
     expected = frobenius_norm(lhs - rhs)
     assert expected > 1.0
     assert btl.spectral_qybe_residual(h, x, y, shift=shift) == expected
+
+
+# The residuals verify certifies, each equal bit for bit to the route that builds
+# the pair with np.kron.
+
+
+def _kron_pair(h, d):
+    return np.kron(h, np.eye(d)), np.kron(np.eye(d), h)
+
+
+def test_verify_braid_grid_equals_kron_pair_route():
+    for dd, f in itertools.product(H0_GRID, repeat=2):
+        h = h0(dd, f)
+        h12, h23 = _kron_pair(h, 4)
+        expected = frobenius_norm(h12 @ h23 @ h12 - h23 @ h12 @ h23)
+        assert btl.qybe_residual(h).hex() == expected.hex()
+
+
+def test_verify_spectral_grid_equals_kron_pair_route():
+    h, s = h_ladder(), 16.0 * np.eye(64)
+    h12, h23 = _kron_pair(h, 4)
+    points = list(itertools.product(SPECTRAL_GRID, repeat=2))
+    expected = []
+    for x, y in points:
+        lhs = ((x - 1.0) * h12 + s) @ ((x * y - 1.0) * h23 + s) @ ((y - 1.0) * h12 + s)
+        rhs = ((y - 1.0) * h23 + s) @ ((x * y - 1.0) * h12 + s) @ ((x - 1.0) * h23 + s)
+        expected.append(frobenius_norm(lhs - rhs).hex())
+    assert [r.hex() for r in btl.spectral_qybe_residuals(h, points)] == expected
+
+
+@pytest.mark.parametrize("element", [tl_from_ladder(), btl.tl_from_an(1)], ids=["ladder", "an_1"])
+def test_verify_tl_elements_equal_kron_pair_route(element):
+    # ranks 2 and 3, where the contractions fail: test_tl_check_equals_kron_pair_route
+    m = element.matrix
+    e1, e2 = _kron_pair(m, element.local_dim)
+    expected = {
+        "idempotent": frobenius_norm(m @ m - element.beta * m),
+        "contract_left": frobenius_norm(e1 @ e2 @ e1 - e1),
+        "contract_right": frobenius_norm(e2 @ e1 @ e2 - e2),
+    }
+    got = btl.tl_check(element).residuals
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in expected.items()}

@@ -30,41 +30,23 @@ SWAP4 = np.array([[1, 0, 0, 0],
                   [0, 0, 0, 1]], dtype=float)
 
 
-def test_kron_identities():
-    i2 = np.eye(2)
-    assert np.array_equal(linalg.kron(i2, i2), np.eye(4))
-    d = np.diag([1.0, -1.0])
-    assert np.array_equal(linalg.kron(d, d), np.diag([1.0, -1.0, -1.0, 1.0]))
+PAIR_ENTRY = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-300, -7.0])
 
 
-def test_kron_single_entry_by_hand():
-    # E12 (x) E21 has its only 1 where row = 0*2+1, col = 1*2+0 (0-based)
-    e12 = np.zeros((2, 2)); e12[0, 1] = 1.0
-    e21 = e12.T
-    expected = np.zeros((4, 4))
-    expected[1, 2] = 1.0
-    assert np.array_equal(linalg.kron(e12, e21), expected)
-
-
-def test_kron_associativity_random():
-    rng = np.random.default_rng(42)
-    for _ in range(5):
-        a = rng.integers(-3, 4, size=(2, 2)).astype(float)
-        b = rng.integers(-3, 4, size=(3, 3)).astype(float)
-        c = rng.integers(-3, 4, size=(2, 3)).astype(float)
-        left = linalg.kron(linalg.kron(a, b), c)
-        right = linalg.kron(a, linalg.kron(b, c))
-        assert np.array_equal(left, right)
-
-
-def test_embed_two_site_trivial():
-    op = np.arange(16.0).reshape(4, 4)
-    assert np.array_equal(linalg.embed_two_site(op, 1, 2, 2), op)
-    assert np.array_equal(linalg.embed_two_site(np.eye(9), 2, 3, 3), np.eye(27))
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.just(d), st.sampled_from([d, d * d]).flatmap(
+        lambda m: hnp.arrays(np.float64, (m, m), elements=PAIR_ENTRY)))))
+def test_pair_equals_np_kron_bit_for_bit(case):
+    # signed zeros included: x * 0.0 is -0.0 for negative x in both routes
+    d, op = case
+    left, right = linalg._pair(op, d)
+    assert left.tobytes() == np.kron(op, np.eye(d)).tobytes()
+    assert right.tobytes() == np.kron(np.eye(d), op).tobytes()
 
 
 def test_embed_swap_permutes_last_two_qubits():
-    got = linalg.embed_two_site(SWAP4, 2, 3, 2)
+    got = linalg._pair(SWAP4, 2)[1]
     # independent oracle: enumerate all 8 basis states and swap bits 2 and 3
     expected = np.zeros((8, 8))
     for s in range(8):
@@ -74,27 +56,19 @@ def test_embed_swap_permutes_last_two_qubits():
     assert np.array_equal(got, expected)
 
 
-def test_embed_distant_operators_commute():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(4, 4))
-    b = rng.normal(size=(4, 4))
-    x = linalg.embed_two_site(a, 1, 4, 2)
-    y = linalg.embed_two_site(b, 3, 4, 2)
-    assert np.linalg.norm(x @ y - y @ x) < 1e-12
-
-
-def test_embed_errors():
-    with pytest.raises(ValueError):
-        linalg.embed_two_site(np.eye(4), 3, 3, 2)
-    with pytest.raises(ValueError):
-        linalg.embed_two_site(np.eye(3), 1, 3, 2)
-
-
 def _kron_sum(op, L, d):
-    """Reference open-chain sum: one kron-embedded term per bond."""
+    """Reference open-chain sum: one kron-embedded term 1 (x) op (x) 1 per bond."""
     total = np.zeros((d ** L, d ** L))
     for i in range(1, L):
-        total += linalg.embed_two_site(op, i, L, d)
+        total += np.kron(np.kron(np.eye(d ** (i - 1)), op), np.eye(d ** (L - i - 1)))
+    return total
+
+
+def _kron_site_sum(op, L, d):
+    """Reference one-site sum: one kron-embedded term 1 (x) op (x) 1 per site."""
+    total = np.zeros((d ** L, d ** L))
+    for i in range(1, L + 1):
+        total += np.kron(np.kron(np.eye(d ** (i - 1)), op), np.eye(d ** (L - i)))
     return total
 
 
@@ -104,24 +78,10 @@ def test_add_embedded_equals_kron_route(d, L):
     assert np.array_equal(linalg.embedded_sum(op, L, d), _kron_sum(op, L, d))
 
 
-def test_embed_one_site_by_hand_and_errors():
-    z = np.diag([1.0, -1.0])
-    assert np.array_equal(linalg.embed_one_site(z, 1, 2, 2), np.diag([1.0, 1.0, -1.0, -1.0]))
-    assert np.array_equal(linalg.embed_one_site(z, 2, 2, 2), np.diag([1.0, -1.0, 1.0, -1.0]))
-    with pytest.raises(ValueError):
-        linalg.embed_one_site(np.eye(3), 1, 2, 2)
-    for i in (0, 3):
-        with pytest.raises(ValueError):
-            linalg.embed_one_site(z, i, 2, 2)
-
-
 @pytest.mark.parametrize("d,L", [(2, 2), (2, 5), (3, 3), (3, 4), (4, 3)])
 def test_one_site_sum_equals_kron_route(d, L):
     op = np.random.default_rng(10 * d + L).normal(size=(d, d))
-    expected = np.zeros((d ** L, d ** L))
-    for i in range(1, L + 1):
-        expected += linalg.embed_one_site(op, i, L, d)
-    assert np.array_equal(linalg.embedded_sum(op, L, d), expected)
+    assert np.array_equal(linalg.embedded_sum(op, L, d), _kron_site_sum(op, L, d))
 
 
 def test_embedded_sum_errors():
@@ -159,12 +119,6 @@ def test_ladder_markov_equals_kron_route(abc, L):
     assert np.array_equal(q, _kron_sum(density - norm * np.eye(16), L, 4))
 
 
-def _kron_site_sum(op, L, d):
-    """Reference one-site sum: one kron-embedded term per site."""
-    total = np.zeros((d ** L, d ** L))
-    for i in range(1, L + 1):
-        total += linalg.embed_one_site(op, i, L, d)
-    return total
 
 
 # a rank n and a number of sites L with (n+1)^L <= 256

@@ -13,10 +13,9 @@ PUBLIC_NAMES = [
     "build_an_markov", "build_ladder_markov", "c_operator", "c_product", "casimir",
     "casimir_cubic_residuals", "casimir_quadratic_residual", "chain_spectrum", "closed_sets",
     "commutator", "coproduct", "decode", "delta_casimir", "delta_casimir_indexed",
-    "delta_casimir_sum", "embed_one_site", "embed_two_site", "empirical_distribution",
-    "encode", "frobenius_norm", "fundamental_rep", "h0", "h_doubleprime", "h_ladder",
-    "h_prime", "hamiltonian", "index_partition_check", "intensity_exp", "kron",
-    "load_matrix_csv", "load_matrix_json", "occupation_summary", "pair_coupling",
+    "delta_casimir_sum", "empirical_distribution", "encode", "frobenius_norm",
+    "fundamental_rep", "h0", "h_doubleprime", "h_ladder", "h_prime", "hamiltonian",
+    "index_partition_check", "intensity_exp", "load_matrix_csv", "load_matrix_json", "occupation_summary", "pair_coupling",
     "positivity_check", "qybe_residual", "rmatrix_from_tl", "save_matrix_csv",
     "save_matrix_json", "similarity_residual", "simulate_ctmc", "simulate_dtmc",
     "spectral_qybe_residual", "spectrum_coincidence", "spin_form_hamiltonian",

@@ -21,7 +21,6 @@ from lattice_markov import simulate as sim
 from lattice_markov.lattice_an import ChainSpec
 from lattice_markov.markov import (LadderParams, MarkovChain, absorbing_states, build_an_markov,
                                    build_ladder_markov, closed_sets, encode, validate)
-from lattice_markov.reporting import DEFAULT_TOL
 
 from closed_reference import scipy_closed_sets
 
@@ -74,6 +73,27 @@ def test_ctmc_absorbing_start_holds_forever():
     traj = sim.simulate_ctmc(chain, 1, 100.0, seed=9)
     assert traj.states == [1]
     assert traj.times == [0.0]
+
+
+def test_ctmc_slow_state_leaves_as_closed_sets_says():
+    # exit rate 5e-11, below 1e-10, but the flow out is an edge: {2} is the one closed set
+    chain = MarkovChain.from_matrix("intensity", [[-5e-11, 0.0], [5e-11, 0.0]])
+    assert validate(chain).passed and closed_sets(chain).closed_sets == [[2]]
+    traj = sim.simulate_ctmc(chain, 1, 1e13, 0)
+    assert traj.states == [1, 2] and traj.times[1] < 1e12  # mean holding time 2e10
+    assert sim.occupation_summary(chain, traj)["occupation"] == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("diagonal", [0.0, 5e-11, -1e-320])
+def test_ctmc_raises_on_entering_a_state_that_flow_leaves_at_no_exit_rate(diagonal):
+    # state 2 sends 5e-11 to state 3, but its exit rate -q_22 is not positive
+    chain = MarkovChain.from_matrix("intensity", [[-1.0, 0.0, 0.0], [1.0, diagonal, 0.0],
+                                                  [0.0, 5e-11, 0.0]])
+    assert validate(chain).passed and closed_sets(chain).closed_sets == [[3]]
+    with pytest.raises(ValueError, match="flow leaves state 2"):
+        sim.simulate_ctmc(chain, 1, 1e6, 0)
+    assert sim.simulate_ctmc(chain, 1, 1e-9, 0).states == [1]  # state 2 is not entered
+    assert sim.simulate_ctmc(chain, 3, 1e6, 0).states == [3]
 
 
 def test_ctmc_two_state_symmetric_occupation():
@@ -361,6 +381,14 @@ def _support_cdf(support: np.ndarray, values: np.ndarray) -> tuple[list[int], li
     return (support + 1).tolist(), cdf
 
 
+def _absorbing_columns(chain):
+    """Whether each column holds no off-diagonal entry above EDGE_THRESHOLD: the
+    absorbing rule of `closed_sets`, read from the dense matrix."""
+    leaves = chain.matrix > markov.EDGE_THRESHOLD
+    np.fill_diagonal(leaves, False)
+    return ~leaves.any(axis=0)
+
+
 def _laws(chain):
     """The jump laws as the sampler of the chain's kind builds them: an intensity
     matrix jumps at its exit rate, and its absorbing columns are divided by 1.0.
@@ -371,7 +399,7 @@ def _laws(chain):
     else:
         rates = -chain.entries.diagonal()
         targets, cdf, spans = sim._jump_laws(
-            chain, np.where(rates <= DEFAULT_TOL.abs_tol, 1.0, rates))
+            chain, np.where(_absorbing_columns(chain), 1.0, rates))
     assert len(spans) == chain.num_states + 1 and spans[0] is None
     assert len(targets) == len(cdf) and targets.typecode == "q" and cdf.typecode == "d"
 
@@ -459,12 +487,12 @@ def _dense_law(chain, j):
 def test_column_supports_equal_the_dense_columns(chain):
     m = chain.matrix
     all_rows, all_values, ptr = sim._column_supports(chain)
-    law_of = _laws(chain)
+    law_of, absorbing = _laws(chain), _absorbing_columns(chain)
     for j in range(chain.num_states):
         rows, values = all_rows[ptr[j]:ptr[j + 1]], all_values[ptr[j]:ptr[j + 1]]
         dense = np.flatnonzero(np.clip(m[:, j], 0.0, None))
         assert np.array_equal(rows, dense) and values.tobytes() == m[dense, j].tobytes()
-        if chain.kind == "intensity" and -m[j, j] > DEFAULT_TOL.abs_tol:  # else absorbing
+        if chain.kind == "intensity" and not absorbing[j]:
             assert law_of(j) == _support_cdf(*_dense_law(chain, j))
     # the subnormal entry is in state 1's column but not among its jumps
     if m[1, 0] == 5e-324:
@@ -543,11 +571,13 @@ def _dense_route_path(chain, init, horizon, seed):
         rng = np.random.Generator(np.random.Philox(seed))
         jump_rng = np.random.Generator(np.random.Philox(seed).jumped())
     m = chain.matrix
+    # a transition matrix takes rate 1, and no state is absorbing
+    absorbing = _absorbing_columns(chain) & (chain.kind == "intensity")
     states, times, t, current, cache = [init], [0.0], 0.0, init, {}
     for _ in range(horizon if chain.kind == "transition" else 10 ** 9):
-        if current not in cache:  # a transition matrix takes rate 1, which is never absorbing
+        if current not in cache:
             rate = 1.0 if chain.kind == "transition" else -float(m[current - 1, current - 1])
-            cache[current] = ((0.0, [], []) if rate <= DEFAULT_TOL.abs_tol
+            cache[current] = ((0.0, [], []) if absorbing[current - 1]
                               else (rate, *_support_cdf(*_dense_law(chain, current - 1))))
         rate, targets, cdf = cache[current]
         if chain.kind == "intensity":
@@ -613,9 +643,9 @@ def test_jump_laws_equal_the_scalar_kahan_reference(chain):
     only when its law is asked for."""
     all_rows, all_values, ptr = sim._column_supports(chain)
     rates = -chain.entries.diagonal()
-    law_of = _laws(chain)
+    law_of, absorbing = _laws(chain), _absorbing_columns(chain)
     for j in range(chain.num_states):
-        if chain.kind == "intensity" and rates[j] <= DEFAULT_TOL.abs_tol:
+        if chain.kind == "intensity" and absorbing[j]:
             continue  # absorbing: the sampler never asks for its law
         jump = all_values[ptr[j]:ptr[j + 1]] / (rates[j] if chain.kind == "intensity" else 1.0)
         try:

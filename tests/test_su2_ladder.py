@@ -5,7 +5,7 @@ import pytest
 
 from lattice_markov import su2_ladder as lad
 from lattice_markov.braid_tl import qybe_residual, spectral_qybe_residual
-from lattice_markov.linalg import commutator, frobenius_norm, invariance_residual, kron
+from lattice_markov.linalg import commutator, frobenius_norm, invariance_residual
 
 H0_GRID = (-1.0, 0.0, 1.0, 2.0)
 SPECTRAL_GRID = (-1.0, 0.5, 1.0, 2.0, 3.0)
@@ -226,7 +226,7 @@ def test_su2_invariance_residual_equals_per_generator_loop():
 
 
 def test_transformed_density_invariance_under_conjugated_generators():
-    bb = kron(lad.basis_change(), lad.basis_change())
+    bb = np.kron(lad.basis_change(), lad.basis_change())
     bb_inv = np.linalg.inv(bb)
     hdp = lad.h_doubleprime(16.0, 0.0, 0.0)
     worst = max(frobenius_norm(commutator(hdp, bb @ g @ bb_inv))
