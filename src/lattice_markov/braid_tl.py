@@ -97,7 +97,7 @@ class TLElement:
 def tl_check(e: TLElement, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
     """Certify the Temperley-Lieb relations for a candidate element."""
     m = e.matrix
-    e1, e2 = _pair(m, e.local_dim)
+    e1, e2 = _pair(m, _local_dim(m))  # refuses a matrix reassigned to a bad shape
     residuals = {
         "idempotent": frobenius_norm(m @ m - e.beta * m),
         "contract_left": frobenius_norm(e1 @ e2 @ e1 - e1),

@@ -51,9 +51,13 @@ def test_qybe_rejects_bad_shapes():
 
 
 @pytest.mark.parametrize("shape", [(4, 5), (5, 4), (5, 5)])
-def test_spectral_braid_rejects_bad_shapes(shape):
+def test_spectral_braid_and_tl_check_reject_bad_shapes(shape):
     with pytest.raises(ValueError, match="square"):
         btl.spectral_qybe_residual(np.ones(shape), 2.0, 3.0)
+    element = btl.tl_from_an(1)
+    element.matrix = np.ones(shape)  # the dataclass checks its shape only when built
+    with pytest.raises(ValueError, match="square"):
+        btl.tl_check(element)
 
 
 def test_tl_check_zero_element_passes():
