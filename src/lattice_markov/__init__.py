@@ -13,11 +13,11 @@ from .linalg import (commutator, frobenius_norm, intensity_exp, load_matrix_csv,
                      symmetric_eigenvalues)
 from .an_algebra import (AnRep, casimir, casimir_cubic_residuals, casimir_quadratic_residual,
                          coproduct, delta_casimir, delta_casimir_indexed, delta_casimir_sum,
-                         fundamental_rep, index_partition_check, unit_matrix)
+                         fundamental_rep, index_partition_check, two_site_h, unit_matrix)
 from .braid_tl import (TLElement, qybe_residual, rmatrix_from_tl,
                        spectral_qybe_residual, tl_check, tl_from_an)
 from .lattice_an import (ChainSpec, LatticeHamiltonian, chain_spectrum, hamiltonian,
-                         symmetry_residual, tl_decomposition_residuals, two_site_h)
+                         symmetry_residual, tl_decomposition_residuals)
 from .su2_ladder import (basis_change, c_operator, c_product, h0, h_doubleprime,
                          h_ladder, h_prime, pair_coupling, positivity_check,
                          similarity_residual, spin_form_hamiltonian, spin_generators,

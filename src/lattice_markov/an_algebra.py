@@ -61,11 +61,8 @@ def fundamental_rep(n: int) -> AnRep:
                  raising_pairs=pairs, cartan_matrix=cartan_matrix(n))
 
 
-def casimir(n: int, shift: float = 0.0) -> np.ndarray:
-    """Quadratic Casimir in the defining representation, minus shift * I.
-
-    With shift 0 it evaluates to n(n+2) times the identity.
-    """
+def casimir(n: int) -> np.ndarray:
+    """Quadratic Casimir in the defining representation: n(n+2) times the identity."""
     rep = fundamental_rep(n)
     d = n + 1
     out = np.zeros((d, d))
@@ -78,7 +75,7 @@ def casimir(n: int, shift: float = 0.0) -> np.ndarray:
         for b in range(1, n - a + 1):
             ha, hb = rep.cartan[a - 1], rep.cartan[a + b - 1]
             out += 2 * a * (n + 1 - a - b) * (ha @ hb)
-    return out - shift * np.eye(d)
+    return out
 
 
 def delta_casimir_sum(n: int) -> np.ndarray:
@@ -130,9 +127,15 @@ def delta_casimir_indexed(n: int) -> np.ndarray:
     return out
 
 
-def delta_casimir(n: int) -> np.ndarray:
-    """Canonical two-site coproduct Casimir (the indexed route)."""
-    return delta_casimir_indexed(n)
+delta_casimir = delta_casimir_indexed  # the canonical two-site coproduct Casimir
+
+
+def two_site_h(n: int) -> np.ndarray:
+    """Two-site density: coproduct Casimir plus the pair identity.
+
+    Entrywise this is (n+1) times the swap of the two sites.
+    """
+    return delta_casimir(n) + np.eye((n + 1) ** 2)
 
 
 def index_partition_check(n: int) -> bool:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .an_algebra import delta_casimir
+from .an_algebra import two_site_h
 from .linalg import _pair, as_matrix, frobenius_norm
 from .reporting import DEFAULT_TOL, Tolerance, VerificationReport
 
@@ -85,13 +85,10 @@ class TLElement:
 
     matrix: np.ndarray
     beta: float
-    local_dim: int
 
     def __post_init__(self) -> None:
         self.matrix = as_matrix(self.matrix)
-        d = self.local_dim
-        if self.matrix.shape != (d * d, d * d):
-            raise ValueError(f"TL element must be {d * d}x{d * d}")
+        _local_dim(self.matrix)  # refuses a matrix that is not d^2 x d^2
 
 
 def tl_check(e: TLElement, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
@@ -116,10 +113,8 @@ def tl_from_an(n: int) -> TLElement:
     contraction defect equals the signed sum over the six three-site place
     permutations, whose Frobenius norm is exactly 6 sqrt(binomial(d, 3)).
     """
-    d = n + 1
-    h = delta_casimir(n) + np.eye(d * d)
-    e = np.eye(d * d) - h / (n + 1)
-    return TLElement(matrix=e, beta=2.0, local_dim=d)
+    h = two_site_h(n)
+    return TLElement(matrix=np.eye(len(h)) - h / (n + 1), beta=2.0)
 
 
 def rmatrix_from_tl(e: TLElement, sign: int = 1) -> np.ndarray:

@@ -25,7 +25,7 @@ from .su2_ladder import h0, h_doubleprime, h_ladder
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, default=str)
+    text = json.dumps(payload, indent=2)
     if out:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text + "\n")

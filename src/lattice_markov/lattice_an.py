@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .an_algebra import delta_casimir, fundamental_rep
+from .an_algebra import fundamental_rep, two_site_h
 from .braid_tl import tl_from_an
-from .linalg import (Entries, _HeldAsEntries, _merged, check_dense_size, commutator_norm,
-                     embedded_entries, symmetric_eigenvalues)
+from .linalg import (Entries, _HeldAsEntries, check_dense_size, commutator_norm, embedded_entries,
+                     symmetric_eigenvalues)
 from .reporting import DEFAULT_TOL, Tolerance
 
 
@@ -63,15 +63,6 @@ class LatticeHamiltonian(_HeldAsEntries):
                              f"the {self.spec.dim} states of the chain")
 
 
-def two_site_h(n: int) -> np.ndarray:
-    """Two-site density: coproduct Casimir plus the pair identity.
-
-    Entrywise this is (n+1) times the swap of the two sites.
-    """
-    d = n + 1
-    return delta_casimir(n) + np.eye(d * d)
-
-
 def hamiltonian(spec: ChainSpec) -> LatticeHamiltonian:
     check_dense_size(spec.dim)
     return LatticeHamiltonian(spec, embedded_entries(two_site_h(spec.n), spec.L, spec.local_dim))
@@ -104,20 +95,16 @@ def tl_decomposition_residuals(n: int, L: int) -> tuple[float, float]:
         (n+1)(L-1) - (n+1) sum_i e_i    ("minus" reading).
 
     Returns (plus_residual, minus_residual); the minus reading is the one
-    that holds, since E = 1 - H2/(n+1) gives H2 = (n+1)(1 - E). Each residual
-    merges the entries of H, of -/+(n+1) sum_i e_i and of -(n+1)(L-1) on the
-    diagonal, so no dense matrix is built.
+    that holds, since E = 1 - H2/(n+1) gives H2 = (n+1)(1 - E). Bond sums are
+    linear, so each residual is the norm of the entries of the open-chain sum of
+    one kernel, H2 -/+ (n+1) E - (n+1) 1, and no dense matrix is built.
     """
     spec = ChainSpec(n, L)
-    h = hamiltonian(spec).entries
-    e_sum = embedded_entries(tl_from_an(n).matrix, L, spec.local_dim)
-    dim = spec.dim
-    diagonal = np.arange(dim) * (dim + 1)
-    keys = np.concatenate([h.cols * dim + h.rows, e_sum.cols * dim + e_sum.rows, diagonal])
+    check_dense_size(spec.dim)
+    h2, e = two_site_h(n), tl_from_an(n).matrix
 
     def residual(sign: int) -> float:
-        values = np.concatenate([h.values, -sign * (n + 1) * e_sum.values,
-                                 np.full(dim, -float((n + 1) * (L - 1)))])
-        return float(np.linalg.norm(_merged(keys.copy(), values, dim).values))
+        kernel = h2 - (n + 1) * (sign * e + np.eye(len(h2)))
+        return float(np.linalg.norm(embedded_entries(kernel, L, spec.local_dim).values))
 
     return residual(1), residual(-1)

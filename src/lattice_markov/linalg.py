@@ -195,20 +195,10 @@ def frobenius_norm(a) -> float:
                             f"{np.abs(a).max():.3g} overflows float64") from None
 
 
-def symmetry_defect(a) -> float:
-    a = as_matrix(a)
-    return float(np.linalg.norm(a - a.T))
-
-
-def is_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    a = as_matrix(a)
-    bound = max(tol.abs_tol, REL_TOL * float(np.linalg.norm(a)))
-    return symmetry_defect(a) <= bound
-
-
 def _symmetrised(e: Entries, tol: Tolerance) -> Entries:
     """Entries of 0.5 (A + A^T), so that roundoff asymmetry cannot leak into an eigen
-    solve; A is refused as `is_symmetric` refuses it, with |A - A^T|_F from entries."""
+    solve. A is refused unless |A - A^T|_F <= max(abs_tol, REL_TOL |A|_F), both norms
+    taken from entries."""
     n, v = e.dim, e.values
     keys = np.concatenate([e.cols * n + e.rows, e.rows * n + e.cols])  # A, then A^T
     defect = float(np.linalg.norm(_merged(keys.copy(), np.concatenate([v, -v]), n).values))

@@ -310,7 +310,7 @@ def occupation_summary(chain: MarkovChain, traj: Trajectory) -> dict:
         p = 1.0 / len(home)
         sigma = math.sqrt(p * (1.0 - p) / moves)
         if sigma > 0:
-            dev = max(abs(float(occupation[s - 1]) - p) for s in home)
+            dev = float(np.abs(occupation[np.asarray(home) - 1] - p).max())
             summary["max_dev_sigma"] = dev / sigma
     return summary
 

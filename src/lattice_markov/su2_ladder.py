@@ -100,19 +100,12 @@ def c_product(i: int, j: int, k: int) -> np.ndarray:
     return c_operator(i) @ c_operator(j) @ c_operator(k)
 
 
-# index order of every coefficient table below
-PRODUCT_INDICES = [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 1), (1, 2, 2), (1, 2, 3),
-                   (1, 3, 1), (1, 3, 2), (1, 3, 3), (2, 1, 1), (2, 1, 2), (2, 1, 3)]
-
 _TABLE_LABEL = {1: 1, 2: 3, 3: 2}  # tables use the couplings with labels 2 and 3 interchanged
 
 
 def _table_products() -> dict[tuple[int, int, int], np.ndarray]:
     ops = {k: c_operator(_TABLE_LABEL[k]) for k in (1, 2, 3)}
     return {(i, j, k): ops[i] @ ops[j] @ ops[k] for (i, j, k) in PRODUCT_INDICES}
-
-
-_TABLE_PRODUCTS = _table_products()  # read-only after import
 
 
 # Each coefficient is an integer combination of the parameters over an integer:
@@ -147,6 +140,10 @@ _LADDER_TABLE = {  # parameters a, b, c
     (2, 1, 3): (432, 1179, 91, 118, 16),
 }
 
+PRODUCT_INDICES = list(_LADDER_TABLE)  # index order of both coefficient tables
+
+_TABLE_PRODUCTS = _table_products()  # read-only after import
+
 
 def _coefficients(table, params) -> dict[tuple[int, int, int], Fraction]:
     """A coefficient table evaluated exactly at the parameters."""
@@ -167,10 +164,10 @@ def _scaled(table, params, scale: int) -> dict[tuple[int, int, int], float]:
             / (den * common) for ijk, (den, constant, *weights) in table.items()}
 
 
-def _assemble(coeffs: dict[tuple[int, int, int], float | Fraction], scale: int = 1) -> np.ndarray:
-    """Sum over the products of float(coefficient * scale) * product."""
+def _assemble(coeffs: dict[tuple[int, int, int], float]) -> np.ndarray:
+    """Sum over the products of coefficient * product."""
     with np.errstate(over="ignore", invalid="ignore"):  # as_matrix refuses an overflow
-        return as_matrix(sum((float(coeffs[ijk] * scale) * _TABLE_PRODUCTS[ijk]
+        return as_matrix(sum((coeffs[ijk] * _TABLE_PRODUCTS[ijk]
                               for ijk in PRODUCT_INDICES), np.zeros((16, 16))))
 
 
@@ -301,7 +298,7 @@ def tl_from_ladder() -> TLElement:
     """
     h = h_ladder()
     projector = (18.0 * np.eye(16) - h) / 20.0
-    return TLElement(matrix=(10.0 / 3.0) * projector, beta=10.0 / 3.0, local_dim=4)
+    return TLElement(matrix=(10.0 / 3.0) * projector, beta=10.0 / 3.0)
 
 
 def total_spin_generators(sites: int) -> list[np.ndarray]:

@@ -67,7 +67,7 @@ def verify_an(n: int, L: int, tol: Tolerance = DEFAULT_TOL) -> list[Verification
     checks.append(VerificationReport.from_residuals(
         "casimir_cubic", {"first": cubic1, "second": cubic2}, tol.abs_tol))
 
-    h2 = lattice_an.two_site_h(n)
+    h2 = an_algebra.two_site_h(n)
     checks.append(braid_tl.qybe_report(h2, tol, name="qybe_braid"))
 
     element = braid_tl.tl_from_an(n)

@@ -73,10 +73,6 @@ def test_casimir_is_scalar(n):
     assert np.array_equal(ala.casimir(n), n * (n + 2) * np.eye(n + 1))
 
 
-def test_casimir_shift():
-    assert np.array_equal(ala.casimir(1, shift=3.0), np.zeros((2, 2)))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_coproduct_casimir_routes_agree_exactly(n):
     assert np.array_equal(ala.delta_casimir_sum(n), ala.delta_casimir_indexed(n))

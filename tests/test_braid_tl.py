@@ -60,13 +60,22 @@ def test_spectral_braid_and_tl_check_reject_bad_shapes(shape):
         btl.tl_check(element)
 
 
+@pytest.mark.parametrize("shape,message", [
+    ((4, 5), r"two-site operator must be square, got shape \(4, 5\)"),
+    ((5, 5), "operator size 5 is not a perfect square of the local dimension"),
+])
+def test_tl_element_refuses_a_matrix_that_is_not_d2_by_d2(shape, message):
+    with pytest.raises(ValueError, match=message):
+        btl.TLElement(matrix=np.zeros(shape), beta=2.0)
+
+
 def test_tl_check_zero_element_passes():
-    e = btl.TLElement(matrix=np.zeros((9, 9)), beta=1.7, local_dim=3)
+    e = btl.TLElement(matrix=np.zeros((9, 9)), beta=1.7)
     assert btl.tl_check(e).passed
 
 
 def test_tl_check_identity_fails():
-    e = btl.TLElement(matrix=np.eye(4), beta=2.0, local_dim=2)
+    e = btl.TLElement(matrix=np.eye(4), beta=2.0)
     report = btl.tl_check(e)
     assert not report.passed
     assert report.residuals["idempotent"] == pytest.approx(2.0)  # |I - 2I|_F on 4x4
@@ -124,7 +133,7 @@ def test_rmatrix_solves_braid(n, bound):
 
 
 def test_rmatrix_rejects_complex_branch():
-    e = btl.TLElement(matrix=np.zeros((4, 4)), beta=1.0, local_dim=2)
+    e = btl.TLElement(matrix=np.zeros((4, 4)), beta=1.0)
     with pytest.raises(ValueError):
         btl.rmatrix_from_tl(e)
 
@@ -232,7 +241,7 @@ def test_verify_spectral_grid_equals_kron_pair_route():
 def test_verify_tl_elements_equal_kron_pair_route(element):
     # ranks 2 and 3, where the contractions fail: test_tl_check_equals_kron_pair_route
     m = element.matrix
-    e1, e2 = _kron_pair(m, element.local_dim)
+    e1, e2 = _kron_pair(m, math.isqrt(len(m)))
     expected = {
         "idempotent": frobenius_norm(m @ m - element.beta * m),
         "contract_left": frobenius_norm(e1 @ e2 @ e1 - e1),

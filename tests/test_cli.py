@@ -420,3 +420,10 @@ def test_runtime_imports_numpy_only():
                           timeout=60, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_emit_refuses_a_value_json_cannot_encode(capsys):
+    # a numpy scalar in a payload is a fault to surface, not a string to print
+    with pytest.raises(TypeError):
+        cli._emit({"x": np.int64(1)}, None)
+    assert capsys.readouterr().out == ""

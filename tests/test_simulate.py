@@ -204,6 +204,19 @@ def test_occupation_summary():
     assert sum(summary["occupation"]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("spec,kind,init", [((2, 4), "intensity", 6), ((1, 6), "transition", 3)])
+def test_occupation_deviation_equals_the_per_state_loop(spec, kind, init):
+    chain = build_an_markov(ChainSpec(*spec), kind)
+    traj = (sim.simulate_ctmc(chain, init, 200.0, seed=5) if kind == "intensity"
+            else sim.simulate_dtmc(chain, init, 5000, seed=5))
+    summary = sim.occupation_summary(chain, traj)
+    home, occupation = summary["closed_set"], summary["occupation"]
+    p = 1.0 / len(home)
+    dev = max(abs(occupation[s - 1] - p) for s in home)
+    sigma = math.sqrt(p * (1.0 - p) / (len(traj.states) - 1))
+    assert summary["max_dev_sigma"].hex() == (dev / sigma).hex()
+
+
 def test_simulation_rejects_invalid_inputs():
     chain = build_an_markov(ChainSpec(1, 3), "transition")
     with pytest.raises(ValueError):

@@ -86,6 +86,10 @@ def test_c_products():
         assert lad.c_product(*ijk).shape == (16, 16)
 
 
+def test_both_coefficient_tables_index_the_same_products():
+    assert set(lad._H0_TABLE) == set(lad.PRODUCT_INDICES)
+
+
 def test_h0_zero_parameters():
     assert np.array_equal(lad.h0(0.0, 0.0), np.zeros((16, 16)))
 
@@ -149,7 +153,7 @@ def test_paired_coefficient_variant_breaks_braid():
     misses it by a residual of about 0.067 in spin-1/2 units."""
     co = lad.ladder_coefficients(0, 0, 0)
     co[(1, 2, 2)] = Fraction(41, 48)
-    variant = lad._assemble(co, lad.PRODUCT_SCALE)
+    variant = lad._assemble({ijk: float(x * lad.PRODUCT_SCALE) for ijk, x in co.items()})
     assert qybe_residual(variant) > 1.0
 
 
